@@ -18,7 +18,6 @@ from . import collapse, jpm, normality, oracle, palindromes, verify
 from .limits import LimitExceededError, check_length, max_palindrome_length
 from .words import (
     Word,
-    WordParseError,
     max_ones,
     max_ones_sum,
     parse_word,
@@ -47,19 +46,17 @@ def cmd_sequence(args) -> int:
             for n in range(1, n_max + 1):
                 print(f"{n},{len(oracle.brute_class_partition(n))}")
         else:
-            check_length(n_max)
-            for m, states in normality.iter_lr_levels(n_max):
+            for m, level in normality.iter_lr_levels(n_max):
                 if m >= 1:
-                    print(f"{m},{len(states)}")
+                    print(f"{m},{len(level)}")
     elif args.name == "npal":
         check_length(n_max, max_palindrome_length(), kind="palindrome enumeration")
         for n in range(1, n_max + 1):
             print(f"{n},{palindromes.count_prefix_normal_palindromes(n, jobs=jobs)}")
     elif args.name == "collapse-classes":
-        check_length(n_max)
-        for m, states in normality.iter_lr_levels(n_max):
+        for m, level in normality.iter_lr_levels(n_max):
             if m >= 1:
-                groups = {collapse._prepend_one_profile(f, p) for _, f, p in states}
+                groups = {collapse.prepend_one_profile(bits, m) for bits in level}
                 print(f"{m},{len(groups)}")
     elif args.name == "max-class-size":
         for n in range(1, n_max + 1):
@@ -147,13 +144,8 @@ def cmd_word(args) -> int:
         if not normality.is_suffix_normal(w):
             return "n/a (not a least representative)"
         critical = collapse.extension_critical(w)
-        target = max_ones(w.prepend(1))
-        partners = [
-            str(v)
-            for v in normality.enumerate_least_representatives(len(w))
-            if max_ones(v.prepend(1)) == target
-        ]
-        return f"extension_critical={'true' if critical else 'false'} class={','.join(partners)}"
+        cls = next(c for c in collapse.collapse_classes(len(w)) if w in c.members)
+        return f"extension_critical={'true' if critical else 'false'} class={','.join(map(str, cls.members))}"
 
     if len(selected) == 1:
         print(value_of(selected[0]))
@@ -251,13 +243,8 @@ def cmd_collapse_classes(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    n_max = args.n_max
-    counts = normality.count_least_representatives(n_max + 1)
-    pal = [palindromes.count_prefix_normal_palindromes(i) for i in range(n_max + 2)]
     print("n,lower,actual,upper_palcol,upper_remark_paper,upper_remark_corrected,violations")
-    for n in range(2, n_max + 1):
-        b = collapse.index_bounds(n, counts[n], pal[n - 1], pal[n + 1], pal[n])
-        actual = counts[n + 1]
+    for n, actual, b in verify.bounds_by_length(args.n_max):
         violations = []
         if actual < b.lower:
             violations.append("lower")
@@ -300,6 +287,13 @@ def cmd_jpm(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+def length(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"length must be >= 0, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pnlab",
@@ -310,14 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_seq = sub.add_parser("sequence", help="emit a counting sequence as CSV")
     p_seq.add_argument("name", choices=SEQUENCE_NAMES)
-    p_seq.add_argument("n_max", type=int)
+    p_seq.add_argument("n_max", type=length)
     p_seq.add_argument("--jobs", type=int, default=None)
     p_seq.add_argument("--oracle", action="store_true", help="use the brute-force engine")
     p_seq.set_defaults(func=cmd_sequence)
 
     p_ver = sub.add_parser("verify", help="run one named verification suite")
     p_ver.add_argument("theorem", choices=sorted(verify.CHECKS))
-    p_ver.add_argument("n_max", type=int)
+    p_ver.add_argument("n_max", type=length)
     p_ver.set_defaults(func=cmd_verify)
 
     p_word = sub.add_parser("word", help="report on a single word")
@@ -329,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_word.set_defaults(func=cmd_word)
 
     p_enum = sub.add_parser("enumerate", help="stream least representatives of one length")
-    p_enum.add_argument("n", type=int)
+    p_enum.add_argument("n", type=length)
     p_enum.add_argument("--pnpals", action="store_true", help="prefix normal palindromes instead")
     p_enum.add_argument("--classes", action="store_true", help="class partition as JSON lines")
     p_enum.add_argument("--jobs", type=int, default=None)
@@ -337,14 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_cc = sub.add_parser("collapse-classes", help="collapse classes as JSON lines")
-    p_cc.add_argument("n", type=int)
+    p_cc.add_argument("n", type=length)
     p_cc.add_argument("--engine", choices=("brute", "band"), default="brute")
-    p_cc.add_argument("--jobs", type=int, default=None)
+    p_cc.add_argument("--jobs", type=int, default=None, help="ignored: both engines run in one process")
     p_cc.add_argument("--oracle", action="store_true")
     p_cc.set_defaults(func=cmd_collapse_classes)
 
     p_bounds = sub.add_parser("bounds", help="index bounds per length as CSV")
-    p_bounds.add_argument("n_max", type=int)
+    p_bounds.add_argument("n_max", type=length)
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_jpm = sub.add_parser("jpm", help="jumbled factor query: is there a length-k factor with d ones")
@@ -359,14 +353,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left early (`| head`); devnull keeps the exit-time flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except LimitExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except WordParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # WordParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,8 +10,8 @@ profiles of all other members pointwise.
 Classes can be computed two ways:
 
 * engine "brute": group least representatives by the profile after
-  prepending 1 (the defining property, fast thanks to the incremental
-  profile rule).
+  prepending 1 (the defining property, read off the suffix counts in
+  O(n) by `prepend_one_profile`).
 * engine "band": for each extender, derive the band of profiles its
   collapsers may have.  The band's top is the extender's own profile;
   its bottom starts from the word obtained by rotating a 1 in at the
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .limits import check_length
 from .normality import (
@@ -59,9 +60,7 @@ def extends_to_lr(w: Word) -> bool:
     not collapse with any lexicographically smaller least representative.
     """
     _require_lr(w)
-    f = max_ones(w)
-    f1 = max_ones(w.prepend(1))
-    return f1[: len(w) + 1] == f
+    return prepend_one_profile(w.bits, len(w))[:-1] == max_ones(w)
 
 
 def extension_critical(w: Word) -> bool:
@@ -194,6 +193,20 @@ def candidate_collapsers(w: Word) -> list[Word]:
     return found
 
 
+_ASCII_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def prepend_one_profile(bits: int, n: int) -> Profile:
+    """max_ones(1·w) for the least representative w = Word(n, bits): the collapse key.
+
+    w's profile is its suffix counts s, and 1·w adds the windows starting at
+    the new letter, so f(i) = max(s(i), p(i-1) + 1) for i <= n and f(n+1) = s(n) + 1.
+    """
+    letters = bin(bits | 1 << n)[3:].encode().translate(_ASCII_TO_BIT)
+    s = accumulate(letters[::-1])
+    return (0, *map(max, s, accumulate(letters, initial=1)), bits.bit_count() + 1)
+
+
 @dataclass(frozen=True)
 class CollapseClass:
     n: int
@@ -205,31 +218,25 @@ class CollapseClass:
         return len(self.members)
 
 
-def _prepend_one_profile(f: Profile, p: Profile) -> Profile:
-    m = len(f) - 1
-    return (0,) + tuple(max(f[i], p[i - 1] + 1) for i in range(1, m + 1)) + (f[m] + 1,)
-
-
 def collapse_classes(n: int, engine: str = "brute", limit: int | None = None) -> list[CollapseClass]:
     """Partition the least representatives of length n by collapsing."""
     check_length(n, limit, kind="collapse partition")
     if engine == "brute":
+        # the level is increasing, so groups come out sorted and in extender order
         groups: dict[Profile, list[int]] = {}
-        for bits, f, p in lr_level(n, limit):
-            groups.setdefault(_prepend_one_profile(f, p), []).append(bits)
-        classes = [
+        for bits in lr_level(n, limit):
+            groups.setdefault(prepend_one_profile(bits, n), []).append(bits)
+        return [
             CollapseClass(n=n, extender=Word(n, vals[0]), members=tuple(Word(n, v) for v in vals))
-            for vals in (sorted(vals) for vals in groups.values())
+            for vals in groups.values()
         ]
-        classes.sort(key=lambda c: c.extender.bits)
-        return classes
     if engine == "band":
         return _collapse_classes_band(n, limit)
     raise ValueError(f"unknown engine {engine!r}")
 
 
 def _collapse_classes_band(n: int, limit: int | None) -> list[CollapseClass]:
-    lrs = [Word(n, bits) for bits, _, _ in lr_level(n, limit)]
+    lrs = [Word(n, bits) for bits in lr_level(n, limit)]
     if n == 0:
         return [CollapseClass(n=0, extender=lrs[0], members=(lrs[0],))]
     claimed: set[int] = set()

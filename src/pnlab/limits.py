@@ -21,10 +21,9 @@ def max_word_length() -> int:
     raw = os.environ.get(ENV_VAR)
     if raw is None:
         return DEFAULT_MAX_N
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from None
+    if not raw.strip().isdecimal():
+        raise ValueError(f"{ENV_VAR} must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def max_palindrome_length() -> int:

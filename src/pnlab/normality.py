@@ -90,53 +90,42 @@ def class_members(w: Word, limit: int | None = None) -> list[Word]:
 
 # --- level-by-level construction of least representatives -----------------
 #
-# A state is (bits, f, p): the packed word, its max-ones profile, and its
-# prefix-ones profile.  For a suffix normal word the suffix profile equals f,
-# so it is not stored.  Prepending x rewrites the profiles in O(n):
-#   f_{0w} = f extended flat, p_{0w} = p shifted
-#   f_{1w}(i) = max(f(i), p(i-1) + 1), which stays equal to f exactly when
-#   the result is suffix normal again.
-
-State = tuple[int, Profile, Profile]
+# A level is the increasing list of packed least representatives of one length.
+# Their profile is their suffix counts s, so the bits are the whole state.  A 0-prepend
+# keeps the value; a 1-prepend sets bit m, kept when p(i) < s(i+1) for all i < m.
 
 
-def _extend_level(states: list[State], m: int) -> list[State]:
-    nxt: list[State] = []
-    for bits, f, p in states:
-        nxt.append((bits, f + (f[m],), (0,) + p))
-    one = 1 << m
-    for bits, f, p in states:
-        if all(p[i] + 1 <= f[i + 1] for i in range(m)):
-            nxt.append((bits | one, f + (f[m] + 1,), (0,) + tuple(x + 1 for x in p)))
-    return nxt
+def _extends_by_one(bits: int, m: int) -> bool:
+    return all((bits >> (m - i)).bit_count() < (bits & (2 << i) - 1).bit_count() for i in range(m))
 
 
 def iter_lr_levels(n_max: int, limit: int | None = None):
-    """Yield (m, states) for m = 0..n_max; states are sorted by word value."""
+    """Yield (m, level) for m = 0..n_max; a level is the increasing list of
+    packed least representatives of length m."""
     check_length(n_max, limit)
-    states: list[State] = [(0, (0,), (0,))]
-    yield 0, states
+    level = [0]
+    yield 0, level
     for m in range(n_max):
-        states = _extend_level(states, m)
-        yield m + 1, states
+        level = level + [bits | 1 << m for bits in level if _extends_by_one(bits, m)]
+        yield m + 1, level
 
 
-def lr_level(n: int, limit: int | None = None) -> list[State]:
-    states: list[State] = []
-    for _, states in iter_lr_levels(n, limit):
+def lr_level(n: int, limit: int | None = None) -> list[int]:
+    level: list[int] = []
+    for _, level in iter_lr_levels(n, limit):
         pass
-    return states
+    return level
 
 
 def enumerate_least_representatives(n: int, limit: int | None = None):
     """All suffix normal words of length n, lexicographically."""
-    for bits, _, _ in lr_level(n, limit):
+    for bits in lr_level(n, limit):
         yield Word(n, bits)
 
 
 def count_least_representatives(n_max: int, limit: int | None = None) -> list[int]:
     """Class counts per length; entry [n] is the number of length-n classes."""
-    return [len(states) for _, states in iter_lr_levels(n_max, limit)]
+    return [len(level) for _, level in iter_lr_levels(n_max, limit)]
 
 
 # --- full partition of one length ------------------------------------------

@@ -13,10 +13,10 @@ import random
 from dataclasses import dataclass, field
 
 from .collapse import (
-    _prepend_one_profile,
     class_size_bound,
     collapse_classes,
     index_bounds,
+    prepend_one_profile,
     validate_lr_profile,
 )
 from .normality import (
@@ -113,8 +113,8 @@ def check_pchar(n_max: int) -> VerifyReport:
     """Every least representative satisfies the suffix-profile inequalities."""
     lines = []
     for n in range(0, n_max + 1):
-        for bits, f, _ in lr_level(n):
-            if not validate_lr_profile(f):
+        for bits in lr_level(n):
+            if not validate_lr_profile(suffix_ones(Word(n, bits))):
                 return _fail("pchar", lines, Word(n, bits), "profile violates the shape inequalities")
         lines.append(f"PASS n={n}")
     return VerifyReport("pchar", True, lines)
@@ -124,8 +124,9 @@ def check_symminf(n_max: int) -> VerifyReport:
     """Profile changes caused by prepending 1 appear at mirror positions."""
     lines = []
     for n in range(0, n_max + 1):
-        for bits, f, _ in lr_level(n):
+        for bits in lr_level(n):
             w = Word(n, bits)
+            f = max_ones(w)
             f1 = max_ones(w.prepend(1))
             for i in range(1, n + 1):
                 if (f1[i] != f[i]) != (f1[n - i + 1] != f[n - i + 1]):
@@ -141,7 +142,7 @@ def check_falsecollapse(n_max: int) -> VerifyReport:
     for n in range(1, n_max + 1):
         zero_side = {}
         one_side = {}
-        for bits, _, _ in lr_level(n):
+        for bits in lr_level(n):
             w = Word(n, bits)
             zero_side[max_ones(w.prepend(0))] = w
             one_side.setdefault(max_ones(w.prepend(1)), []).append(w)
@@ -216,14 +217,18 @@ def check_collapsindex(n_max: int) -> VerifyReport:
     return VerifyReport("collapsindex", True, lines)
 
 
-def check_palcol(n_max: int) -> VerifyReport:
-    """Palindrome-count bracket around the class count of the next length."""
-    lines = []
+def bounds_by_length(n_max: int):
+    """Yield (n, class count at n + 1, its `index_bounds`) for n = 2..n_max."""
     counts = count_least_representatives(n_max + 1)
     pal = [count_prefix_normal_palindromes(i) for i in range(n_max + 2)]
     for n in range(2, n_max + 1):
-        b = index_bounds(n, counts[n], pal[n - 1], pal[n + 1], pal[n])
-        actual = counts[n + 1]
+        yield n, counts[n + 1], index_bounds(n, counts[n], pal[n - 1], pal[n + 1], pal[n])
+
+
+def check_palcol(n_max: int) -> VerifyReport:
+    """Palindrome-count bracket around the class count of the next length."""
+    lines = []
+    for n, actual, b in bounds_by_length(n_max):
         if not b.lower <= actual <= b.upper_palcol:
             return VerifyReport(
                 "palcol", False, lines,
@@ -281,9 +286,9 @@ def check_ww_family(n_max: int) -> VerifyReport:
 def check_counting_identity(n_max: int) -> VerifyReport:
     """Classes at n + 1 = classes at n + collapse classes at n - 1."""
     lines = []
-    levels = [states for _, states in iter_lr_levels(n_max + 1)]
+    levels = [level for _, level in iter_lr_levels(n_max + 1)]
     for n in range(1, n_max + 1):
-        groups = {_prepend_one_profile(f, p) for _, f, p in levels[n]}
+        groups = {prepend_one_profile(bits, n) for bits in levels[n]}
         expected = len(levels[n]) + len(groups) - 1
         if len(levels[n + 1]) != expected:
             return VerifyReport(
@@ -302,12 +307,8 @@ def check_palupperbound(n_max: int) -> VerifyReport:
     2*classes(n) - (pal(n) - 1) gates the result.
     """
     lines = []
-    counts = count_least_representatives(n_max + 1)
-    for n in range(2, n_max + 1):
-        pal_here = count_prefix_normal_palindromes(n)
-        actual = counts[n + 1]
-        paper = 2 * counts[n] - pal_here
-        corrected = paper + 1
+    for n, actual, b in bounds_by_length(n_max):
+        paper, corrected = b.upper_remark_paper, b.upper_remark_corrected
         if actual > corrected:
             return VerifyReport(
                 "palupperbound", False, lines,

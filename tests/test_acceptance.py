@@ -17,12 +17,12 @@ from fractions import Fraction
 
 from pnlab import oracle
 from pnlab.collapse import (
-    _prepend_one_profile,
     adjusted_lower_band,
     class_size_bound,
     collapse_classes,
     index_bounds,
     lower_band_word,
+    prepend_one_profile,
     recursive_lr_step,
 )
 from pnlab.cli import main
@@ -72,7 +72,7 @@ def test_c01_table1_reproduction():
     for m, states in levels:
         counts[m] = len(states)
         if m - 1 >= 1:
-            classes_prev = len({_prepend_one_profile(f, p) for _, f, p in prev})
+            classes_prev = len({prepend_one_profile(bits, m - 1) for bits in prev})
             assert counts[m] == counts[m - 1] + classes_prev - 1, f"inconsistent at n={m - 1}"
         prev = states
     assert [counts[n] for n in range(1, 9)] == TABLE1

@@ -1,10 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pnlab
 from pnlab.cli import main
+
+SRC = str(Path(pnlab.__file__).resolve().parents[1])
 
 
 def run(argv):
@@ -13,6 +20,15 @@ def run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def spawn(argv, **kwargs):
+    """Start `python -m pnlab argv` in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.Popen(
+        [sys.executable, "-m", "pnlab", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **kwargs,
+    )
 
 
 class TestSequence:
@@ -223,6 +239,47 @@ class TestJpm:
         assert exc.value.code == 2
 
 
+class TestNegativeLength:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sequence", "pn-count", "-3"],
+            ["verify", "palchar", "-2"],
+            ["enumerate", "-1"],
+            ["collapse-classes", "-1"],
+            ["bounds", "-1"],
+        ],
+    )
+    def test_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
+    def test_non_integer_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["bounds", "x"])
+        assert exc.value.code == 2
+
+
+class TestProcess:
+    def test_python_m_runs_the_cli(self):
+        with spawn(["sequence", "pn-count", "3"]) as proc:
+            out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert out == "n,value\n1,2\n2,3\n3,5\n"
+
+    def test_closed_pipe_exits_quietly(self):
+        # enumerate 18 prints far more than a pipe buffer holds, so the
+        # writer is still running when the reader goes away
+        with spawn(["enumerate", "18"]) as proc:
+            assert proc.stdout.readline() == "000000000000000000\n"
+            assert proc.stdout.readline() == "000000000000000001\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        assert err == ""
+
+
 class TestEnvLimit:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("PNLAB_MAX_N", "5")
@@ -230,3 +287,9 @@ class TestEnvLimit:
         assert run(["enumerate", "5"])[0] == 0
         monkeypatch.setenv("PNLAB_MAX_N", "12")
         assert run(["enumerate", "12"])[0] == 0
+
+    def test_negative_cap_is_usage_error(self, monkeypatch):
+        monkeypatch.setenv("PNLAB_MAX_N", "-5")
+        code, _, err = run(["enumerate", "3"])
+        assert code == 2
+        assert "PNLAB_MAX_N" in err

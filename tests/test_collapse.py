@@ -16,11 +16,12 @@ from pnlab.collapse import (
     lower_band_word,
     palindromic_distance,
     palindromic_prefix_length,
+    prepend_one_profile,
     recursive_lr_step,
     validate_lr_profile,
 )
-from pnlab.normality import enumerate_least_representatives, profile_increments_word
-from pnlab.words import max_ones, max_ones_sum, parse_word
+from pnlab.normality import enumerate_least_representatives, lr_level, profile_increments_word
+from pnlab.words import Word, max_ones, max_ones_sum, parse_word
 
 # golden profile rows for the length-17 worked example
 F_W = (0, 1, 2, 3, 4, 5, 5, 6, 7, 8, 8, 8, 9, 10, 10, 11, 12, 13)
@@ -72,6 +73,20 @@ class TestExtension:
         for n in range(1, 12):
             for w in enumerate_least_representatives(n):
                 assert extends_to_lr(w) == is_suffix_normal(w.prepend(1))
+
+
+class TestPrependOneProfile:
+    def test_matches_definition(self):
+        # levels are increasing lists of packed ints that match the oracle,
+        # and the collapse key is the max-ones profile of the 1-prepend
+        for n in range(0, 15):
+            level = lr_level(n)
+            assert all(type(bits) is int for bits in level)
+            if n <= 10:
+                assert [Word(n, bits) for bits in level] == oracle.brute_least_representatives(n)
+            for bits in level:
+                w = Word(n, bits)
+                assert prepend_one_profile(w.bits, n) == max_ones(w.prepend(1))
 
 
 class TestBand:
