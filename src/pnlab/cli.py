@@ -40,6 +40,13 @@ def _default_jobs() -> int:
 def cmd_sequence(args) -> int:
     n_max = args.n_max
     jobs = args.jobs or _default_jobs()
+    # an over-cap run prints nothing, not a header with no rows
+    if args.name == "npal":
+        check_length(n_max, max_palindrome_length(), kind="palindrome enumeration")
+    elif args.name == "pn-count" and args.oracle:
+        check_length(n_max, 16, kind="brute partition")
+    else:
+        check_length(n_max)
     print("n,value")
     if args.name == "pn-count":
         if args.oracle:
@@ -50,7 +57,6 @@ def cmd_sequence(args) -> int:
                 if m >= 1:
                     print(f"{m},{len(level)}")
     elif args.name == "npal":
-        check_length(n_max, max_palindrome_length(), kind="palindrome enumeration")
         for n in range(1, n_max + 1):
             print(f"{n},{palindromes.count_prefix_normal_palindromes(n, jobs=jobs)}")
     elif args.name == "collapse-classes":

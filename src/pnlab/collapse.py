@@ -37,7 +37,7 @@ from .normality import (
     lr_level,
     profile_increments_word,
 )
-from .words import Profile, Word, max_ones
+from .words import Profile, Word, letters, max_ones
 
 
 def collapses(w: Word, v: Word) -> bool:
@@ -193,18 +193,15 @@ def candidate_collapsers(w: Word) -> list[Word]:
     return found
 
 
-_ASCII_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def prepend_one_profile(bits: int, n: int) -> Profile:
     """max_ones(1·w) for the least representative w = Word(n, bits): the collapse key.
 
     w's profile is its suffix counts s, and 1·w adds the windows starting at
     the new letter, so f(i) = max(s(i), p(i-1) + 1) for i <= n and f(n+1) = s(n) + 1.
     """
-    letters = bin(bits | 1 << n)[3:].encode().translate(_ASCII_TO_BIT)
-    s = accumulate(letters[::-1])
-    return (0, *map(max, s, accumulate(letters, initial=1)), bits.bit_count() + 1)
+    x = letters(bits, n)
+    s = accumulate(x[::-1])
+    return (0, *map(max, s, accumulate(x, initial=1)), bits.bit_count() + 1)
 
 
 @dataclass(frozen=True)
@@ -339,9 +336,7 @@ class IndexBounds:
     upper_remark_corrected: int
 
 
-def index_bounds(
-    n: int, ell: int, npal_prev: int, npal_next: int, npal_here: int
-) -> IndexBounds:
+def index_bounds(ell: int, npal_prev: int, npal_next: int, npal_here: int) -> IndexBounds:
     """Bounds on the number of classes at length n + 1.
 
     ell is the class count at length n; npal_prev/here/next are the

@@ -31,6 +31,9 @@ def max_palindrome_length() -> int:
 
 
 def check_length(n: int, limit: int | None = None, kind: str = "enumeration") -> int:
+    """Return n when 0 <= n <= the cap (limit, else the word cap)."""
+    if n < 0:
+        raise ValueError(f"{kind} length must be >= 0, got {n}")
     cap = max_word_length() if limit is None else limit
     if n > cap:
         raise LimitExceededError(f"{kind} at length {n} exceeds the limit of {cap}")

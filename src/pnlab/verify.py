@@ -222,7 +222,7 @@ def bounds_by_length(n_max: int):
     counts = count_least_representatives(n_max + 1)
     pal = [count_prefix_normal_palindromes(i) for i in range(n_max + 2)]
     for n in range(2, n_max + 1):
-        yield n, counts[n + 1], index_bounds(n, counts[n], pal[n - 1], pal[n + 1], pal[n])
+        yield n, counts[n + 1], index_bounds(counts[n], pal[n - 1], pal[n + 1], pal[n])
 
 
 def check_palcol(n_max: int) -> VerifyReport:

@@ -11,6 +11,22 @@ A profile is a tuple (v(0), v(1), ..., v(n)) over factor lengths:
   prefix_ones  v(k) is the number of 1s in the prefix of length k
   suffix_ones  v(k) is the number of 1s in the suffix of length k
 
+All three are read off the word's prefix counts p(0..n).  `letters`
+turns a word into one byte per letter (value 0 or 1) in one C-level pass;
+prefix_ones and suffix_ones accumulate it, and max_ones packs it.
+
+max_ones is word-parallel.  It packs p(1..n) into n fields of B bits of one
+int P, field j holding p(n - j), with B chosen so that 2^(B-1) > n.  For
+each length k, P - (P >> B·k) holds every window count of length k at
+once: p never decreases, so no field borrows, and the fields past n - k
+hold counts of prefixes shorter than k, which never exceed v(k-1).  The
+profile moves in unit steps, so v(k) = v(k-1) + 1 exactly when some field
+exceeds v(k-1): biasing every field by 2^(B-1) - 1 - v(k-1) makes that
+the field's top bit, and one AND with the top-bit mask tests them all.
+That is O(n) big-int operations on n·B-bit ints, each running over
+n·B/30 machine digits in C, where one window scan per length takes
+O(n²) interpreted steps.
+
 reverse_progress derives from a profile the sequence that replays its
 increments backwards, starting from v(n); comparing it against max_ones
 is the fast palindrome test implemented in `palindromes`.
@@ -19,6 +35,7 @@ is the fast palindrome test implemented in `palindromes`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 Profile = tuple[int, ...]
 
@@ -136,40 +153,59 @@ def parse_word(text: str) -> Word:
     return Word(len(text), value)
 
 
+_DIGIT_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def letters(bits: int, n: int) -> bytes:
+    """The letters of Word(n, bits), leftmost first, as bytes of value 0 or 1."""
+    return bin(bits | 1 << n)[3:].encode().translate(_DIGIT_TO_BIT)
+
+
 def max_ones(w: Word) -> Profile:
-    """Most 1s per factor length, by one sliding-window pass per length."""
+    """Most 1s per factor length, by one word-parallel unit-step test per length.
+
+    The prefix counts p(1..n) are packed into n fields of B bits of one
+    int P, field j holding p(n - j); B is the least width with
+    2^(B-1) > n, so every field value and every biased window count
+    below fits its field.  For length k, field j of P - (P >> B·k) is the
+    count of the window ending at position n - j (for j <= n - k) or of a
+    prefix shorter than k (beyond), so no field borrows and no field
+    exceeds v(k-1) except a length-k window holding v(k-1) + 1 ones.
+    """
     n = w.n
-    out = [0] * (n + 1)
-    if n:
-        prefix = [0] * (n + 1)
-        acc = 0
-        bits = w.bits
-        for i in range(1, n + 1):
-            acc += (bits >> (n - i)) & 1
-            prefix[i] = acc
-        for k in range(1, n + 1):
-            out[k] = max(prefix[i + k] - prefix[i] for i in range(n - k + 1))
+    if not n:
+        return (0,)
+    width = n.bit_length() + 1
+    fields = bytearray(width * n)
+    fields[width - 1 :: width] = letters(w.bits, n)
+    # field n - i holds letter i, read by int() from ASCII digits; adding
+    # to every field all fields above it (log2 n shift-adds) turns field j
+    # into p(n - j)
+    packed = int(fields.translate(_BIT_TO_DIGIT), 2)
+    shift = width
+    while shift < width * n:
+        packed += packed >> shift
+        shift <<= 1
+    ones = ((1 << width * n) - 1) // ((1 << width) - 1)  # 1 in every field
+    tops = ones << (width - 1)
+    biased = packed + tops - ones  # each field + 2^(B-1) - 1 - v(k-1)
+    out = [0]
+    best = 0
+    for shift in range(width, width * n + 1, width):
+        if (biased - (packed >> shift)) & tops:
+            best += 1
+            biased -= ones
+        out.append(best)
     return tuple(out)
 
 
 def prefix_ones(w: Word) -> Profile:
-    n = w.n
-    out = [0] * (n + 1)
-    acc = 0
-    for i in range(1, n + 1):
-        acc += (w.bits >> (n - i)) & 1
-        out[i] = acc
-    return tuple(out)
+    return tuple(accumulate(letters(w.bits, w.n), initial=0))
 
 
 def suffix_ones(w: Word) -> Profile:
-    n = w.n
-    out = [0] * (n + 1)
-    acc = 0
-    for k in range(1, n + 1):
-        acc += (w.bits >> (k - 1)) & 1
-        out[k] = acc
-    return tuple(out)
+    return tuple(accumulate(letters(w.bits, w.n)[::-1], initial=0))
 
 
 def reverse_progress(f: Profile) -> Profile:

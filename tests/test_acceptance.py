@@ -192,7 +192,7 @@ def test_c07b_palcol_bracket_as_stated():
         ell, actual = counts[n], counts[n + 1]
         lower = ell + pal[n - 1]
         upper = palcol_upper(ell, pal[n + 1])
-        b = index_bounds(n, ell, pal[n - 1], pal[n + 1], pal[n])
+        b = index_bounds(ell, pal[n - 1], pal[n + 1], pal[n])
         assert (b.lower, b.upper_palcol) == (lower, upper), (
             f"n={n}: index_bounds gives {b.lower}..{b.upper_palcol}, the stated bracket is {lower}..{upper}"
         )

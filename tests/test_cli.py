@@ -85,6 +85,22 @@ class TestSequence:
         assert code == 3
         assert "limit" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pn-count", "30"],
+            ["pn-count", "17", "--oracle"],
+            ["npal", "40"],
+            ["collapse-classes", "30"],
+            ["max-class-size", "25"],
+        ],
+    )
+    def test_over_cap_prints_nothing(self, argv):
+        code, out, err = run(["sequence", *argv])
+        assert code == 3
+        assert out == ""
+        assert "limit" in err
+
 
 class TestVerify:
     def test_pass_path(self):

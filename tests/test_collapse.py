@@ -260,17 +260,17 @@ class TestSizeBound:
 
 class TestIndexBounds:
     def test_rows(self):
-        b = index_bounds(5, 14, 3, 4, 5)
+        b = index_bounds(14, 3, 4, 5)
         assert b.lower == 17
         assert b.upper_palcol == Fraction(23)
         assert b.upper_remark_paper == 23
         assert b.upper_remark_corrected == 24
 
-        b = index_bounds(4, 8, 3, 5, 3)
+        b = index_bounds(8, 3, 5, 3)
         assert b.lower == 11
         assert b.upper_palcol == Fraction(29, 2)
         assert b.upper_remark_paper == 13  # undercounts: 14 classes exist at length 5
         assert b.upper_remark_corrected == 14
 
-        b = index_bounds(2, 3, 2, 3, 2)
+        b = index_bounds(3, 2, 3, 2)
         assert b.lower == 5

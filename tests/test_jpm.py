@@ -81,3 +81,12 @@ def test_random_against_oracle():
         for k in range(n + 1):
             for d in range(k + 1):
                 assert query(idx, k, d) == oracle.brute_jumbled_query(w, k, d)
+
+
+def test_long_word_against_oracle():
+    rng = random.Random(17)
+    w = Word.from_bits(int(rng.random() < 0.5) for _ in range(129))
+    idx = build_index(w)
+    for k in range(w.n + 1):
+        for d in range(k + 2):
+            assert query(idx, k, d) == oracle.brute_jumbled_query(w, k, d), (k, d)

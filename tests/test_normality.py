@@ -1,18 +1,22 @@
 import pytest
 
 from pnlab import oracle
+from pnlab.collapse import collapse_classes
 from pnlab.limits import LimitExceededError
 from pnlab.normality import (
     class_members,
     class_partition,
+    count_least_representatives,
     enumerate_least_representatives,
     is_least_representative,
     is_prefix_normal,
     is_suffix_normal,
     least_representative,
+    lr_level,
     pn_equivalent,
     prefix_normal_form,
 )
+from pnlab.palindromes import count_prefix_normal_palindromes
 from pnlab.words import Word, max_ones, parse_word
 
 
@@ -118,6 +122,14 @@ class TestEnumeration:
     def test_limit(self):
         with pytest.raises(LimitExceededError):
             list(enumerate_least_representatives(25))
+
+    @pytest.mark.parametrize(
+        "build", [count_least_representatives, lr_level, collapse_classes, count_prefix_normal_palindromes]
+    )
+    def test_negative_length_rejected(self, build):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            build(-3)
+        build(0)
 
     def test_prepends(self):
         # prepending 0 preserves canonical words, non-canonical words stay lost

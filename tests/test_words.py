@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pnlab import oracle
@@ -126,6 +128,18 @@ class TestAgainstOracle:
                 assert max_ones(w) == oracle.brute_max_ones(w)
                 assert prefix_ones(w) == oracle.brute_prefix_ones(w)
                 assert suffix_ones(w) == oracle.brute_suffix_ones(w)
+
+    @pytest.mark.parametrize("n", [127, 128, 129, 255, 256])
+    def test_profiles_long_words(self, n):
+        # the packed kernel's field width steps up at n = 128 and n = 256
+        rng = random.Random(n)
+        words = [Word.zeros(n), Word.ones(n)]
+        for density in (0.05, 0.25, 0.5, 0.9):
+            words.append(Word.from_bits(int(rng.random() < density) for _ in range(n)))
+        for w in words:
+            assert max_ones(w) == oracle.brute_max_ones(w), w
+            assert prefix_ones(w) == oracle.brute_prefix_ones(w), w
+            assert suffix_ones(w) == oracle.brute_suffix_ones(w), w
 
 
 class TestInvariants:
