@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import collapse, jpm, normality, oracle, palindromes, verify
-from .limits import LimitExceededError, check_length, max_palindrome_length
+from .limits import LimitExceededError, check_length, max_palindrome_length, max_partition_length
 from .words import (
     Word,
     max_ones,
@@ -28,10 +28,7 @@ from .words import (
 )
 
 SEQUENCE_NAMES = ("pn-count", "npal", "collapse-classes", "max-class-size")
-
-
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
+JOBS_HELP = "ignored: every command runs in one process"
 
 
 # --- sequence ---------------------------------------------------------------
@@ -39,12 +36,13 @@ def _default_jobs() -> int:
 
 def cmd_sequence(args) -> int:
     n_max = args.n_max
-    jobs = args.jobs or _default_jobs()
     # an over-cap run prints nothing, not a header with no rows
     if args.name == "npal":
         check_length(n_max, max_palindrome_length(), kind="palindrome enumeration")
     elif args.name == "pn-count" and args.oracle:
         check_length(n_max, 16, kind="brute partition")
+    elif args.name == "max-class-size":
+        check_length(n_max, max_partition_length(), kind="partition")
     else:
         check_length(n_max)
     print("n,value")
@@ -58,7 +56,7 @@ def cmd_sequence(args) -> int:
                     print(f"{m},{len(level)}")
     elif args.name == "npal":
         for n in range(1, n_max + 1):
-            print(f"{n},{palindromes.count_prefix_normal_palindromes(n, jobs=jobs)}")
+            print(f"{n},{palindromes.count_prefix_normal_palindromes(n)}")
     elif args.name == "collapse-classes":
         for m, level in normality.iter_lr_levels(n_max):
             if m >= 1:
@@ -201,10 +199,7 @@ def cmd_enumerate(args) -> int:
                 if w == w.reverse() and oracle.brute_is_prefix_normal(w):
                     print(w)
         else:
-            record = palindromes.enumerate_prefix_normal_palindromes(
-                n, jobs=args.jobs or _default_jobs()
-            )
-            for w in record.words:
+            for w in palindromes.enumerate_prefix_normal_palindromes(n).words:
                 print(w)
         return 0
     if args.oracle:
@@ -311,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq = sub.add_parser("sequence", help="emit a counting sequence as CSV")
     p_seq.add_argument("name", choices=SEQUENCE_NAMES)
     p_seq.add_argument("n_max", type=length)
-    p_seq.add_argument("--jobs", type=int, default=None)
+    p_seq.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
     p_seq.add_argument("--oracle", action="store_true", help="use the brute-force engine")
     p_seq.set_defaults(func=cmd_sequence)
 
@@ -332,14 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("n", type=length)
     p_enum.add_argument("--pnpals", action="store_true", help="prefix normal palindromes instead")
     p_enum.add_argument("--classes", action="store_true", help="class partition as JSON lines")
-    p_enum.add_argument("--jobs", type=int, default=None)
+    p_enum.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
     p_enum.add_argument("--oracle", action="store_true")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_cc = sub.add_parser("collapse-classes", help="collapse classes as JSON lines")
     p_cc.add_argument("n", type=length)
     p_cc.add_argument("--engine", choices=("brute", "band"), default="brute")
-    p_cc.add_argument("--jobs", type=int, default=None, help="ignored: both engines run in one process")
+    p_cc.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
     p_cc.add_argument("--oracle", action="store_true")
     p_cc.set_defaults(func=cmd_collapse_classes)
 

@@ -3,13 +3,16 @@
 Word enumeration walks spaces that grow like 2^n, palindrome enumeration
 like 2^(n/2), so both are capped.  The default word cap of 24 keeps every
 run at desk scale; the environment variable PNLAB_MAX_N raises or lowers
-it (the palindrome cap follows it with fixed headroom).
+it.  The palindrome cap follows it with fixed headroom above; the cap of
+full-space operations, which call max_ones on every one of the 2^n words,
+follows it with fixed headroom below.
 """
 
 import os
 
 DEFAULT_MAX_N = 24
 PALINDROME_HEADROOM = 10
+PARTITION_HEADROOM = 4
 ENV_VAR = "PNLAB_MAX_N"
 
 
@@ -28,6 +31,10 @@ def max_word_length() -> int:
 
 def max_palindrome_length() -> int:
     return max_word_length() + PALINDROME_HEADROOM
+
+
+def max_partition_length() -> int:
+    return max(max_word_length() - PARTITION_HEADROOM, 0)
 
 
 def check_length(n: int, limit: int | None = None, kind: str = "enumeration") -> int:

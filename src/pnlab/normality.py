@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .limits import check_length
+from .limits import check_length, max_partition_length
 from .words import Profile, Word, max_ones, prefix_ones, profile_text, suffix_ones
 
 
@@ -165,8 +165,9 @@ def class_partition(n: int, materialize: bool = False, limit: int | None = None)
 
     Scans the full space, so it is far more expensive than the level
     construction; sizes and optional member lists are what it buys.
+    It has its own cap, the partition cap, unless a limit is given.
     """
-    check_length(n, limit, kind="partition")
+    check_length(n, max_partition_length() if limit is None else limit, kind="partition")
     buckets: dict[Profile, list[int]] = {}
     for value in range(1 << n):
         sig = max_ones(Word(n, value))

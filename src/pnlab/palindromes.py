@@ -3,20 +3,25 @@
 A palindrome is prefix normal exactly when its max-ones profile read
 forwards equals its reverse-progress profile read backwards (the all
 zeros word passes trivially and is treated as an explicit special case).
-That test needs only the profile, so enumeration walks the 2^(n/2) free
-halves instead of all factors of all palindromes.
+
+A prefix normal palindrome equals its reversal, so it is also suffix
+normal, and every suffix of a suffix normal word is suffix normal (its
+factors and its suffixes are factors and suffixes of the whole word).
+So the last ceil(n/2) letters of a prefix normal palindrome are a least
+representative: enumeration mirrors each member of that level into a
+palindrome and keeps those that pass the profile test, instead of
+walking all 2^ceil(n/2) free halves.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+# unused here; kept because perfbench/layers.py wraps palindromes.ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 from .limits import check_length, max_palindrome_length
-from .normality import is_prefix_normal
+from .normality import is_prefix_normal, lr_level
 from .words import Profile, Word, max_ones, prefix_ones, reverse_progress
-
-_POOL_MIN_HALF_BITS = 12
 
 
 def is_palindrome(w: Word) -> bool:
@@ -66,58 +71,28 @@ class PnPalRecord:
     count: int
 
 
-def _scan_half_range(task: tuple[int, int, int, bool]):
-    n, start, stop, collect = task
-    found: list[int] = []
-    count = 0
-    for half in range(start, stop):
-        w = palindrome_from_half(n, half)
-        if is_prefix_normal_palindrome_by_profile(w):
-            count += 1
-            if collect:
-                found.append(w.bits)
-    return count, found
-
-
-def _half_tasks(n: int, jobs: int, collect: bool):
+def _prefix_normal_palindromes(n: int, limit: int | None) -> list[Word]:
+    """Sorted prefix normal palindromes of length n, from the least
+    representatives of length ceil(n/2), each reversed into a free half."""
+    cap = max_palindrome_length() if limit is None else limit
+    check_length(n, cap, kind="palindrome enumeration")
     half_len = (n + 1) // 2
-    total = 1 << half_len
-    if jobs <= 1 or half_len < _POOL_MIN_HALF_BITS:
-        return [(n, 0, total, collect)], False
-    chunks = jobs * 4
-    step = -(-total // chunks)
-    tasks = [(n, lo, min(lo + step, total), collect) for lo in range(0, total, step)]
-    return tasks, True
+    found = []
+    for tail in lr_level(half_len, cap):
+        w = palindrome_from_half(n, Word(half_len, tail).reverse().bits)
+        if is_prefix_normal_palindrome_by_profile(w):
+            found.append(w)
+    return sorted(found)
 
 
-def _run_half_scan(n: int, jobs: int, collect: bool):
-    tasks, pooled = _half_tasks(n, jobs, collect)
-    if pooled:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_half_range, tasks))
-    else:
-        results = [_scan_half_range(t) for t in tasks]
-    count = sum(c for c, _ in results)
-    bits = [b for _, fs in results for b in fs]
-    return count, bits
+def count_prefix_normal_palindromes(n: int, limit: int | None = None) -> int:
+    return len(_prefix_normal_palindromes(n, limit))
 
 
-def count_prefix_normal_palindromes(n: int, jobs: int = 1, limit: int | None = None) -> int:
-    cap = max_palindrome_length() if limit is None else limit
-    check_length(n, cap, kind="palindrome enumeration")
-    count, _ = _run_half_scan(n, jobs, collect=False)
-    return count
-
-
-def enumerate_prefix_normal_palindromes(
-    n: int, jobs: int = 1, limit: int | None = None
-) -> PnPalRecord:
+def enumerate_prefix_normal_palindromes(n: int, limit: int | None = None) -> PnPalRecord:
     """All prefix normal palindromes of length n, lexicographically."""
-    cap = max_palindrome_length() if limit is None else limit
-    check_length(n, cap, kind="palindrome enumeration")
-    count, bits = _run_half_scan(n, jobs, collect=True)
-    words = tuple(Word(n, b) for b in bits)
-    return PnPalRecord(n=n, words=words, count=count)
+    words = tuple(_prefix_normal_palindromes(n, limit))
+    return PnPalRecord(n=n, words=words, count=len(words))
 
 
 def extension_profile(inner: Word) -> Profile:

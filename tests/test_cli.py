@@ -304,6 +304,30 @@ class TestEnvLimit:
         monkeypatch.setenv("PNLAB_MAX_N", "12")
         assert run(["enumerate", "12"])[0] == 0
 
+    def test_palindrome_cap_is_above_word_cap(self, monkeypatch):
+        # the half-length levels are built under the palindrome cap, not the word cap of 0
+        monkeypatch.setenv("PNLAB_MAX_N", "0")
+        assert run(["sequence", "npal", "10"]) == (
+            0, "n,value\n1,2\n2,2\n3,3\n4,3\n5,5\n6,4\n7,8\n8,7\n9,12\n10,11\n", ""
+        )
+        code, out, _ = run(["enumerate", "10", "--pnpals"])
+        assert code == 0
+        assert out.split() == [
+            "0000000000", "1000000001", "1001001001", "1010000101", "1100000011", "1100110011",
+            "1101001011", "1110000111", "1110110111", "1111001111", "1111111111",
+        ]
+        code, out, err = run(["sequence", "npal", "11"])
+        assert code == 3 and out == "" and "limit of 10" in err
+
+    def test_partition_cap(self, monkeypatch):
+        monkeypatch.setenv("PNLAB_MAX_N", "8")
+        for argv in (["enumerate", "5", "--classes"], ["sequence", "max-class-size", "5"]):
+            code, out, err = run(argv)
+            assert code == 3 and out == "", argv
+            assert "limit of 4" in err
+        assert run(["enumerate", "4", "--classes"])[0] == 0
+        assert run(["sequence", "max-class-size", "4"])[0] == 0
+
     def test_negative_cap_is_usage_error(self, monkeypatch):
         monkeypatch.setenv("PNLAB_MAX_N", "-5")
         code, _, err = run(["enumerate", "3"])

@@ -1,5 +1,6 @@
 import pytest
 
+from pnlab import oracle
 from pnlab.limits import LimitExceededError
 from pnlab.palindromes import (
     count_prefix_normal_palindromes,
@@ -77,11 +78,19 @@ class TestEnumeration:
         with pytest.raises(LimitExceededError):
             count_prefix_normal_palindromes(35)
 
-    def test_jobs_do_not_change_results(self):
-        for n in (9, 14):
-            a = enumerate_prefix_normal_palindromes(n, jobs=1)
-            b = enumerate_prefix_normal_palindromes(n, jobs=4)
-            assert a.words == b.words
+    def test_words_match_brute_filter(self):
+        for n in range(0, 17):
+            brute = [
+                w for w in oracle.all_words(n)
+                if w == w.reverse() and oracle.brute_is_prefix_normal(w)
+            ]
+            assert list(enumerate_prefix_normal_palindromes(n).words) == brute, n
+
+    def test_counts_beyond_brute_range(self):
+        # values of the exhaustive scan over all 2^ceil(n/2) free halves
+        counts = [104, 91, 182, 166, 308, 292, 562, 512, 1009, 928, 1755, 1697, 3247, 2972, 5906, 5555]
+        for n, expected in enumerate(counts, start=17):
+            assert count_prefix_normal_palindromes(n) == expected, n
 
 
 class TestExtensionProfile:
