@@ -40,7 +40,7 @@ def cmd_sequence(args) -> int:
     if args.name == "npal":
         check_length(n_max, max_palindrome_length(), kind="palindrome enumeration")
     elif args.name == "pn-count" and args.oracle:
-        check_length(n_max, 16, kind="brute partition")
+        check_length(n_max, oracle.BRUTE_LIMIT, kind="brute partition")
     elif args.name == "max-class-size":
         check_length(n_max, max_partition_length(), kind="partition")
     else:
@@ -60,8 +60,8 @@ def cmd_sequence(args) -> int:
     elif args.name == "collapse-classes":
         for m, level in normality.iter_lr_levels(n_max):
             if m >= 1:
-                groups = {collapse.prepend_one_profile(bits, m) for bits in level}
-                print(f"{m},{len(groups)}")
+                # lexsmall theorem: one member per class extends, except in the all-zeros class
+                print(f"{m},{sum(normality.extends_by_one(bits, m) for bits in level) + 1}")
     elif args.name == "max-class-size":
         for n in range(1, n_max + 1):
             part = normality.class_partition(n)
@@ -194,7 +194,7 @@ def cmd_enumerate(args) -> int:
         return 0
     if args.pnpals:
         if args.oracle:
-            check_length(n, 16, kind="brute palindrome filter")
+            check_length(n, oracle.BRUTE_LIMIT, kind="brute palindrome filter")
             for w in oracle.all_words(n):
                 if w == w.reverse() and oracle.brute_is_prefix_normal(w):
                     print(w)

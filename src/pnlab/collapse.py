@@ -33,11 +33,12 @@ from itertools import accumulate
 
 from .limits import check_length
 from .normality import (
+    extends_by_one,
     is_suffix_normal,
     lr_level,
     profile_increments_word,
 )
-from .words import Profile, Word, letters, max_ones
+from .words import Profile, Word, is_unit_step, letters, max_ones
 
 
 def collapses(w: Word, v: Word) -> bool:
@@ -55,12 +56,13 @@ def _require_lr(w: Word) -> None:
 def extends_to_lr(w: Word) -> bool:
     """Does prepending 1 to this least representative give another one?
 
-    Holds exactly when the 1-prepend leaves the profile unchanged on
-    1..n (the last entry always grows by one), and exactly when w does
-    not collapse with any lexicographically smaller least representative.
+    Decided by p(i) < s(i+1) for all i < n (`normality.extends_by_one`).
+    Equivalently, the 1-prepend leaves the profile unchanged on 1..n (the
+    last entry always grows by one), and w does not collapse with any
+    lexicographically smaller least representative.
     """
     _require_lr(w)
-    return prepend_one_profile(w.bits, len(w))[:-1] == max_ones(w)
+    return extends_by_one(w.bits, len(w))
 
 
 def extension_critical(w: Word) -> bool:
@@ -74,7 +76,6 @@ def lower_band_word(w: Word) -> Word:
     It always collapses with w and no collapsing least representative
     has a profile below its profile anywhere.
     """
-    _require_lr(w)
     n = len(w)
     if w.bits == 0:
         raise ValueError("zero-weight words have no collapse band")
@@ -96,22 +97,18 @@ def adjusted_lower_band(w: Word, u: Word) -> Profile:
         raise ValueError(f"{w} does not extend to a least representative")
     if not collapses(w, u):
         raise ValueError(f"{u} does not collapse with {w}")
-    n = len(w)
-    fw = max_ones(w)
-    fu = max_ones(u)
+    return _lift(max_ones(w), max_ones(u))
+
+
+def _lift(fw: Profile, fu: Profile) -> Profile:
+    """`adjusted_lower_band` on the two profiles, inputs already checked."""
+    n = len(fw) - 1
+    g = list(fu)
     for i in range(1, n + 1):
         if fu[i] not in (fw[i], fw[i] - 1):
             raise AssertionError("band bottom strays more than one below the top")
-    g = list(fu)
-    for i in range(1, n // 2 + 1):
-        j = n - i + 1
-        low_i = fu[i] != fw[i]
-        low_j = fu[j] != fw[j]
-        if low_i != low_j:
-            if low_i:
-                g[i] += 1
-            else:
-                g[j] += 1
+        if fu[i] != fw[i] and fu[n - i + 1] == fw[n - i + 1]:
+            g[i] += 1
     return tuple(g)
 
 
@@ -126,7 +123,8 @@ class BandSpec:
 
 def band_spec(w: Word) -> BandSpec:
     upper = max_ones(w)
-    lower = adjusted_lower_band(w, lower_band_word(w))
+    # lower_band_word validates w, and its word always collapses with w
+    lower = _lift(upper, max_ones(lower_band_word(w)))
     n = len(w)
     free = frozenset(i for i in range(1, n // 2 + 1) if lower[i] != upper[i])
     return BandSpec(upper=upper, lower=lower, free_positions=free)
@@ -154,41 +152,34 @@ def candidate_collapsers(w: Word) -> list[Word]:
 
     Candidate profiles are the band top with any subset of its open
     mirror pairs lowered by one; each is materialized through its
-    increments, reversed into least-representative shape, and kept only
-    if it realizes the profile and passes the direct collapse check.
+    increments and reversed, so its suffix counts are that profile.  One
+    whose max-ones profile is that profile too is suffix normal, a least
+    representative, and is kept when its `prepend_one_profile` is w's.
     """
     n = len(w)
-    u = lower_band_word(w)
-    fw = max_ones(w)
-    lower = adjusted_lower_band(w, u)
-    target = max_ones(w.prepend(1))
+    spec = band_spec(w)
+    target = prepend_one_profile(w.bits, n)
 
     units: list[tuple[int, ...]] = []
     for i in range(1, (n + 1) // 2 + 1):
         j = n - i + 1
-        if lower[i] != fw[i]:
+        if spec.lower[i] != spec.upper[i]:
             units.append((i,) if i == j else (i, j))
 
     found: list[Word] = []
     for mask in range(1, 1 << len(units)):
-        g = list(fw)
+        g = list(spec.upper)
         for t, unit in enumerate(units):
             if (mask >> t) & 1:
                 for pos in unit:
                     g[pos] -= 1
-        if any(not 0 <= g[k] - g[k - 1] <= 1 for k in range(1, n + 1)):
-            continue
         profile = tuple(g)
-        if not validate_lr_profile(profile):
+        if not (is_unit_step(profile) and validate_lr_profile(profile)):
             continue
         cand = profile_increments_word(profile).reverse()
-        if cand == w or max_ones(cand) != profile:
-            continue
-        if not is_suffix_normal(cand):
-            continue
-        if max_ones(cand.prepend(1)) != target:
-            continue
-        found.append(cand)
+        if max_ones(cand) == profile and prepend_one_profile(cand.bits, n) == target:
+            found.append(cand)
+    # mask order is not word order: four-member classes come out unsorted from n = 9
     found.sort()
     return found
 
@@ -234,14 +225,12 @@ def collapse_classes(n: int, engine: str = "brute", limit: int | None = None) ->
 
 def _collapse_classes_band(n: int, limit: int | None) -> list[CollapseClass]:
     lrs = [Word(n, bits) for bits in lr_level(n, limit)]
-    if n == 0:
-        return [CollapseClass(n=0, extender=lrs[0], members=(lrs[0],))]
     claimed: set[int] = set()
     classes: list[CollapseClass] = []
     for w in lrs:
         if w.bits in claimed:
             continue
-        if n >= 1 and w.bits == 0:
+        if w.bits == 0:
             members = (w,)
         else:
             others = candidate_collapsers(w)
@@ -277,7 +266,7 @@ def recursive_lr_step(lrs: list[Word]) -> list[Word]:
     ordered = sorted(lrs)
     extender_of: dict[Profile, int] = {}
     for w in ordered:
-        sig = max_ones(w.prepend(1))
+        sig = prepend_one_profile(w.bits, n)
         if sig not in extender_of:
             extender_of[sig] = w.bits
     out = [w.prepend(0) for w in ordered]

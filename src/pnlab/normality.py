@@ -95,7 +95,12 @@ def class_members(w: Word, limit: int | None = None) -> list[Word]:
 # keeps the value; a 1-prepend sets bit m, kept when p(i) < s(i+1) for all i < m.
 
 
-def _extends_by_one(bits: int, m: int) -> bool:
+def extends_by_one(bits: int, m: int) -> bool:
+    """Is 1·w a least representative, for the least representative w = Word(m, bits)?
+
+    By the lexsmall theorem this holds for exactly one member of every
+    collapse class except the all-zeros one.
+    """
     return all((bits >> (m - i)).bit_count() < (bits & (2 << i) - 1).bit_count() for i in range(m))
 
 
@@ -106,7 +111,7 @@ def iter_lr_levels(n_max: int, limit: int | None = None):
     level = [0]
     yield 0, level
     for m in range(n_max):
-        level = level + [bits | 1 << m for bits in level if _extends_by_one(bits, m)]
+        level = level + [bits | 1 << m for bits in level if extends_by_one(bits, m)]
         yield m + 1, level
 
 

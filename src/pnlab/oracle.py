@@ -11,6 +11,8 @@ from __future__ import annotations
 from .limits import LimitExceededError
 from .words import Profile, Word
 
+BRUTE_LIMIT = 16
+
 
 def _count_ones(w: Word, i: int, j: int) -> int:
     return sum(w[t] for t in range(i, j + 1))
@@ -58,7 +60,7 @@ def brute_class_members(w: Word) -> list[Word]:
     return [v for v in all_words(len(w)) if brute_max_ones(v) == target]
 
 
-def brute_class_partition(n: int, limit: int = 16) -> dict[Profile, list[Word]]:
+def brute_class_partition(n: int, limit: int = BRUTE_LIMIT) -> dict[Profile, list[Word]]:
     """Partition all 2^n words by their max-ones profile."""
     if n > limit:
         raise LimitExceededError(f"brute partition capped at n = {limit}")
@@ -68,7 +70,7 @@ def brute_class_partition(n: int, limit: int = 16) -> dict[Profile, list[Word]]:
     return classes
 
 
-def brute_least_representatives(n: int, limit: int = 16) -> list[Word]:
+def brute_least_representatives(n: int, limit: int = BRUTE_LIMIT) -> list[Word]:
     if n > limit:
         raise LimitExceededError(f"brute filter capped at n = {limit}")
     return [v for v in all_words(n) if brute_is_suffix_normal(v)]

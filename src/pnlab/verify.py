@@ -207,7 +207,7 @@ def check_collapsindex(n_max: int) -> VerifyReport:
     for n in range(1, n_max + 1):
         worst = 1
         for cls in collapse_classes(n):
-            if n >= 1 and cls.extender.bits == 0:
+            if cls.extender.bits == 0:
                 continue
             bound = class_size_bound(cls.extender)
             if cls.size > bound:

@@ -136,9 +136,6 @@ class Word:
         length = j - i + 1
         return Word(length, (self.bits >> (self.n - j)) & ((1 << length) - 1))
 
-    def bit_tuple(self) -> tuple[int, ...]:
-        return tuple(self)
-
 
 def parse_word(text: str) -> Word:
     """Parse a string of '0'/'1' letters; the empty string is the empty word."""

@@ -51,6 +51,14 @@ class TestSequence:
         code, out, _ = run(["sequence", "collapse-classes", "4"])
         assert code == 0
         assert out == "n,value\n1,2\n2,3\n3,4\n4,7\n"
+        # the CLI counts extenders plus one; check that against grouping by definition
+        code, out, _ = run(["sequence", "collapse-classes", "14"])
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [int(n) for n, _ in rows] == list(range(1, 15))
+        values = [int(v) for _, v in rows]
+        assert values == [len(pnlab.collapse_classes(n, "brute")) for n in range(1, 15)]
+        assert values[:10] == [len(pnlab.oracle.brute_collapse_partition(n)) for n in range(1, 11)]
 
     def test_max_class_size(self):
         code, out, _ = run(["sequence", "max-class-size", "4"])
