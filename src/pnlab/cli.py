@@ -55,8 +55,9 @@ def cmd_sequence(args) -> int:
                 if m >= 1:
                     print(f"{m},{len(level)}")
     elif args.name == "npal":
-        for n in range(1, n_max + 1):
-            print(f"{n},{palindromes.count_prefix_normal_palindromes(n)}")
+        for n, words in palindromes.iter_prefix_normal_palindromes(n_max):
+            if n >= 1:
+                print(f"{n},{len(words)}")
     elif args.name == "collapse-classes":
         for m, level in normality.iter_lr_levels(n_max):
             if m >= 1:
@@ -141,6 +142,9 @@ def cmd_word(args) -> int:
     selected = [key for key in _WORD_FIELDS if getattr(args, key)]
     if args.collapse:
         selected.append("collapse")
+    if args.oracle and (args.npf or args.lr or not selected):
+        # the brute class scan behind npf and lr walks all 2^n words
+        check_length(len(w), oracle.BRUTE_LIMIT, kind="brute class scan")
 
     def value_of(key: str) -> str:
         if key != "collapse":
@@ -148,8 +152,12 @@ def cmd_word(args) -> int:
         if not normality.is_suffix_normal(w):
             return "n/a (not a least representative)"
         critical = collapse.extension_critical(w)
-        cls = next(c for c in collapse.collapse_classes(len(w)) if w in c.members)
-        return f"extension_critical={'true' if critical else 'false'} class={','.join(map(str, cls.members))}"
+        n = check_length(len(w), kind="collapse partition")
+        key = collapse.prepend_one_profile(w.bits, n)
+        members = (
+            Word(n, bits) for bits in normality.lr_level(n) if collapse.prepend_one_profile(bits, n) == key
+        )
+        return f"extension_critical={'true' if critical else 'false'} class={','.join(map(str, members))}"
 
     if len(selected) == 1:
         print(value_of(selected[0]))

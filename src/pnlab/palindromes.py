@@ -1,8 +1,8 @@
 """Prefix normal palindromes.
 
-A palindrome is prefix normal exactly when its max-ones profile read
-forwards equals its reverse-progress profile read backwards (the all
-zeros word passes trivially and is treated as an explicit special case).
+A word is a prefix normal palindrome exactly when its max-ones profile
+satisfies f(k) + f(n - k) = f(n) for all k: the paper's mirror criterion
+f(k) = fbar(n - k + 1), as fbar(j) = f(n) - f(j - 1).
 
 A prefix normal palindrome equals its reversal, so it is also suffix
 normal, and every suffix of a suffix normal word is suffix normal (its
@@ -10,7 +10,7 @@ factors and its suffixes are factors and suffixes of the whole word).
 So the last ceil(n/2) letters of a prefix normal palindrome are a least
 representative: enumeration mirrors each member of that level into a
 palindrome and keeps those that pass the profile test, instead of
-walking all 2^ceil(n/2) free halves.
+walking all 2^ceil(n/2) free halves.  Level m serves lengths 2m - 1 and 2m.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 from .limits import check_length, max_palindrome_length
-from .normality import is_prefix_normal, lr_level
-from .words import Profile, Word, max_ones, prefix_ones, reverse_progress
+from .normality import is_prefix_normal, iter_lr_levels, lr_level
+from .words import Profile, Word, max_ones, prefix_ones
 
 
 def is_palindrome(w: Word) -> bool:
@@ -34,34 +34,28 @@ def is_prefix_normal_palindrome(w: Word) -> bool:
 
 
 def is_prefix_normal_palindrome_by_profile(w: Word) -> bool:
-    """Profile route: the max-ones profile mirrors its own reverse progress.
+    """Profile route: f(k) + f(n - k) = f(n) for k = 1..floor(n/2), the rest mirroring.
 
-    The all-zeros word is answered True up front; it is the one word the
-    mirror criterion is not meant to cover, yet it is a prefix normal
-    palindrome.
+    At k = 1, f(1) = 1 and f(n - 1) = weight - min(first, last letter)
+    unless w is all zeros, so the end letters decide that case before
+    max_ones runs: both must be 1, or the word all zeros.
     """
-    if w.bits == 0:
-        return True
-    n = len(w)
+    n, bits = w.n, w.bits
+    if not (bits & 1 and bits >> (n - 1)):
+        return not bits
     f = max_ones(w)
-    g = reverse_progress(f)
-    return all(f[k] == g[n - k + 1] for k in range(1, n + 1))
+    return all(f[k] + f[n - k] == f[n] for k in range(2, n // 2 + 1))
 
 
-def palindrome_from_half(n: int, half: int) -> Word:
-    """The length-n palindrome whose free half is the packed value `half`.
-
-    The free half is the first ceil(n/2) letters; the rest mirrors.
-    """
+def palindrome_from_tail(n: int, tail: int) -> Word:
+    """The length-n palindrome whose last ceil(n/2) letters are the packed value `tail`."""
     half_len = (n + 1) // 2
     mirror_len = n // 2
-    if half >> half_len:
-        raise ValueError("half value does not fit")
-    if mirror_len == 0:
-        return Word(n, half)
-    top = half >> (half_len - mirror_len)
-    mirrored = int(format(top, f"0{mirror_len}b")[::-1], 2)
-    return Word(n, (half << mirror_len) | mirrored)
+    if tail >> half_len:
+        raise ValueError("tail value does not fit")
+    mirrored = tail & ((1 << mirror_len) - 1)
+    head = int(format(mirrored, f"0{mirror_len}b")[::-1], 2)
+    return Word(n, head << half_len | tail)
 
 
 @dataclass(frozen=True)
@@ -71,28 +65,37 @@ class PnPalRecord:
     count: int
 
 
-def _prefix_normal_palindromes(n: int, limit: int | None) -> list[Word]:
+def _palindromes_from_tails(n: int, tails: list[int]) -> tuple[Word, ...]:
     """Sorted prefix normal palindromes of length n, from the least
-    representatives of length ceil(n/2), each reversed into a free half."""
-    cap = max_palindrome_length() if limit is None else limit
-    check_length(n, cap, kind="palindrome enumeration")
-    half_len = (n + 1) // 2
-    found = []
-    for tail in lr_level(half_len, cap):
-        w = palindrome_from_half(n, Word(half_len, tail).reverse().bits)
-        if is_prefix_normal_palindrome_by_profile(w):
-            found.append(w)
-    return sorted(found)
+    representatives of length ceil(n/2) as their tails."""
+    candidates = (palindrome_from_tail(n, tail) for tail in tails)
+    return tuple(sorted(w for w in candidates if is_prefix_normal_palindrome_by_profile(w)))
 
 
 def count_prefix_normal_palindromes(n: int, limit: int | None = None) -> int:
-    return len(_prefix_normal_palindromes(n, limit))
+    return enumerate_prefix_normal_palindromes(n, limit).count
 
 
 def enumerate_prefix_normal_palindromes(n: int, limit: int | None = None) -> PnPalRecord:
     """All prefix normal palindromes of length n, lexicographically."""
-    words = tuple(_prefix_normal_palindromes(n, limit))
+    cap = max_palindrome_length() if limit is None else limit
+    check_length(n, cap, kind="palindrome enumeration")
+    words = _palindromes_from_tails(n, lr_level((n + 1) // 2, cap))
     return PnPalRecord(n=n, words=words, count=len(words))
+
+
+def iter_prefix_normal_palindromes(n_max: int, limit: int | None = None):
+    """Yield (n, words) for n = 0..n_max, words as in
+    `enumerate_prefix_normal_palindromes`, from one walk over the levels.
+
+    Like any generator, it checks n_max against the cap at the first `next`.
+    """
+    cap = max_palindrome_length() if limit is None else limit
+    check_length(n_max, cap, kind="palindrome enumeration")
+    for m, tails in iter_lr_levels((n_max + 1) // 2, cap):
+        for n in (2 * m - 1, 2 * m):
+            if 0 <= n <= n_max:
+                yield n, _palindromes_from_tails(n, tails)
 
 
 def extension_profile(inner: Word) -> Profile:

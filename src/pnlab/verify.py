@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .collapse import (
     class_size_bound,
@@ -24,13 +25,11 @@ from .normality import (
     count_least_representatives,
     is_suffix_normal,
     iter_lr_levels,
-    lr_level,
 )
 from .palindromes import (
-    count_prefix_normal_palindromes,
-    enumerate_prefix_normal_palindromes,
     is_prefix_normal_palindrome,
     is_prefix_normal_palindrome_by_profile,
+    iter_prefix_normal_palindromes,
 )
 from .words import Word, max_ones, max_ones_sum, prefix_ones, suffix_ones
 
@@ -98,10 +97,10 @@ def check_leastsuffix(n_max: int) -> VerifyReport:
 def check_corlol(n_max: int) -> VerifyReport:
     """Singleton classes are exactly the prefix normal palindromes."""
     lines = []
-    for n in range(0, n_max + 1):
+    for n, words in iter_prefix_normal_palindromes(n_max):
         part = class_partition(n)
         singles = {cls.lr for cls in part if cls.size == 1}
-        pals = set(enumerate_prefix_normal_palindromes(n).words)
+        pals = set(words)
         if singles != pals:
             odd = (singles ^ pals).pop()
             return _fail("corlol", lines, odd, "singleton classes differ from palindromes")
@@ -112,8 +111,8 @@ def check_corlol(n_max: int) -> VerifyReport:
 def check_pchar(n_max: int) -> VerifyReport:
     """Every least representative satisfies the suffix-profile inequalities."""
     lines = []
-    for n in range(0, n_max + 1):
-        for bits in lr_level(n):
+    for n, level in iter_lr_levels(n_max):
+        for bits in level:
             if not validate_lr_profile(suffix_ones(Word(n, bits))):
                 return _fail("pchar", lines, Word(n, bits), "profile violates the shape inequalities")
         lines.append(f"PASS n={n}")
@@ -123,8 +122,8 @@ def check_pchar(n_max: int) -> VerifyReport:
 def check_symminf(n_max: int) -> VerifyReport:
     """Profile changes caused by prepending 1 appear at mirror positions."""
     lines = []
-    for n in range(0, n_max + 1):
-        for bits in lr_level(n):
+    for n, level in iter_lr_levels(n_max):
+        for bits in level:
             w = Word(n, bits)
             f = max_ones(w)
             f1 = max_ones(w.prepend(1))
@@ -139,10 +138,10 @@ def check_falsecollapse(n_max: int) -> VerifyReport:
     """A 0-prepend and a 1-prepend of distinct least representatives share a
     class only for the all-zeros word and its odd sibling."""
     lines = []
-    for n in range(1, n_max + 1):
+    for n, level in islice(iter_lr_levels(n_max), 1, None):
         zero_side = {}
         one_side = {}
-        for bits in lr_level(n):
+        for bits in level:
             w = Word(n, bits)
             zero_side[max_ones(w.prepend(0))] = w
             one_side.setdefault(max_ones(w.prepend(1)), []).append(w)
@@ -220,7 +219,7 @@ def check_collapsindex(n_max: int) -> VerifyReport:
 def bounds_by_length(n_max: int):
     """Yield (n, class count at n + 1, its `index_bounds`) for n = 2..n_max."""
     counts = count_least_representatives(n_max + 1)
-    pal = [count_prefix_normal_palindromes(i) for i in range(n_max + 2)]
+    pal = [len(words) for _, words in iter_prefix_normal_palindromes(n_max + 1)]
     for n in range(2, n_max + 1):
         yield n, counts[n + 1], index_bounds(counts[n], pal[n - 1], pal[n + 1], pal[n])
 
@@ -242,8 +241,8 @@ def check_notpal(n_max: int) -> VerifyReport:
     """Prefix normal palindromes other than all-ones: prepending 1 never
     gives a least representative, appending 1 always does."""
     lines = []
-    for n in range(1, n_max + 1):
-        for w in enumerate_prefix_normal_palindromes(n).words:
+    for n, words in islice(iter_prefix_normal_palindromes(n_max), 1, None):
+        for w in words:
             if w.bits == (1 << n) - 1:
                 continue
             if is_suffix_normal(w.prepend(1)):
@@ -261,9 +260,9 @@ def check_ww_family(n_max: int) -> VerifyReport:
     lines = []
     one = Word(1, 1)
     zero = Word(1, 0)
-    for n in range(1, n_max + 1):
+    for n, words in islice(iter_prefix_normal_palindromes(n_max), 1, None):
         all_ones = (1 << n) - 1
-        for w in enumerate_prefix_normal_palindromes(n).words:
+        for w in words:
             if w.bits in (0, all_ones):
                 continue
             if is_prefix_normal_palindrome(w + w):

@@ -27,9 +27,8 @@ That is O(n) big-int operations on n·B-bit ints, each running over
 n·B/30 machine digits in C, where one window scan per length takes
 O(n²) interpreted steps.
 
-reverse_progress derives from a profile the sequence that replays its
-increments backwards, starting from v(n); comparing it against max_ones
-is the fast palindrome test implemented in `palindromes`.
+reverse_progress derives from a profile the sequence v(n) - v(k-1) that
+replays its increments backwards, starting from v(n); it serves `word --fbar`.
 """
 
 from __future__ import annotations

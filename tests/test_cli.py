@@ -168,6 +168,25 @@ class TestWord:
         assert code == 0
         assert out == "extension_critical=false class=0011,1001\n"
 
+    def test_collapse_matches_collapse_classes(self):
+        for n in range(0, 11):
+            for cls in pnlab.collapse_classes(n):
+                members = ",".join(map(str, cls.members))
+                for w in cls.members:
+                    critical = "true" if pnlab.extension_critical(w) else "false"
+                    expected = f"extension_critical={critical} class={members}\n"
+                    assert run(["word", str(w), "--collapse"]) == (0, expected, ""), w
+
+    def test_oracle_class_scan_cap(self):
+        long_word = "10110111011101110"  # 17 letters, one over oracle.BRUTE_LIMIT
+        for flags in ([], ["--lr"], ["--npf"], ["--f", "--lr"]):
+            code, out, err = run(["word", long_word, "--oracle", *flags])
+            assert (code, out) == (3, ""), flags
+            assert "limit" in err
+        code, out, _ = run(["word", long_word, "--f", "--oracle"])
+        assert code == 0
+        assert out == f"{pnlab.profile_text(pnlab.max_ones(pnlab.parse_word(long_word)))}\n"
+
     def test_parse_error_exit_code(self):
         code, _, err = run(["word", "01021"])
         assert code == 2

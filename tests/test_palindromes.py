@@ -2,6 +2,7 @@ import pytest
 
 from pnlab import oracle
 from pnlab.limits import LimitExceededError
+from pnlab.normality import iter_lr_levels
 from pnlab.palindromes import (
     count_prefix_normal_palindromes,
     enumerate_prefix_normal_palindromes,
@@ -9,7 +10,8 @@ from pnlab.palindromes import (
     is_palindrome,
     is_prefix_normal_palindrome,
     is_prefix_normal_palindrome_by_profile,
-    palindrome_from_half,
+    iter_prefix_normal_palindromes,
+    palindrome_from_tail,
 )
 from pnlab.words import Word, max_ones, parse_word
 
@@ -46,9 +48,23 @@ class TestDetection:
 
 class TestEnumeration:
     def test_half_expansion(self):
-        assert str(palindrome_from_half(5, 0b101)) == "10101"
-        assert str(palindrome_from_half(4, 0b10)) == "1001"
-        assert str(palindrome_from_half(1, 1)) == "1"
+        assert str(palindrome_from_tail(5, 0b011)) == "11011"
+        assert str(palindrome_from_tail(4, 0b01)) == "1001"
+        assert str(palindrome_from_tail(1, 1)) == "1"
+        assert str(palindrome_from_tail(0, 0)) == ""
+        with pytest.raises(ValueError):
+            palindrome_from_tail(4, 0b100)
+
+    def test_tail_round_trip(self):
+        # every least representative is the tail of the palindromes of lengths 2m - 1 and 2m
+        for m, level in iter_lr_levels(12):
+            for n in (2 * m - 1, 2 * m):
+                if n < 0:
+                    continue
+                for tail in level:
+                    w = palindrome_from_tail(n, tail)
+                    assert is_palindrome(w), (n, tail)
+                    assert w.slice(n - m + 1, n) == Word(m, tail), (n, tail)
 
     def test_listed_words_for_small_lengths(self):
         listed = {
@@ -85,6 +101,18 @@ class TestEnumeration:
                 if w == w.reverse() and oracle.brute_is_prefix_normal(w)
             ]
             assert list(enumerate_prefix_normal_palindromes(n).words) == brute, n
+
+    def test_walk_matches_per_length_enumeration(self):
+        walked = list(iter_prefix_normal_palindromes(24))
+        assert walked == [(n, enumerate_prefix_normal_palindromes(n).words) for n in range(25)]
+
+    def test_walk_checks_length_before_yielding(self):
+        with pytest.raises(LimitExceededError):
+            next(iter_prefix_normal_palindromes(35))
+        with pytest.raises(LimitExceededError):
+            next(iter_prefix_normal_palindromes(9, limit=8))
+        with pytest.raises(ValueError):
+            next(iter_prefix_normal_palindromes(-1))
 
     def test_counts_beyond_brute_range(self):
         # values of the exhaustive scan over all 2^ceil(n/2) free halves
