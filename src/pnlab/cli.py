@@ -152,11 +152,7 @@ def cmd_word(args) -> int:
         if not normality.is_suffix_normal(w):
             return "n/a (not a least representative)"
         critical = collapse.extension_critical(w)
-        n = check_length(len(w), kind="collapse partition")
-        key = collapse.prepend_one_profile(w.bits, n)
-        members = (
-            Word(n, bits) for bits in normality.lr_level(n) if collapse.prepend_one_profile(bits, n) == key
-        )
+        members = collapse.collapse_class(w)
         return f"extension_critical={'true' if critical else 'false'} class={','.join(map(str, members))}"
 
     if len(selected) == 1:

@@ -223,6 +223,13 @@ def collapse_classes(n: int, engine: str = "brute", limit: int | None = None) ->
     raise ValueError(f"unknown engine {engine!r}")
 
 
+def collapse_class(w: Word) -> tuple[Word, ...]:
+    """w's collapse class: the least representatives of length |w| with w's 1-prepend profile."""
+    n = check_length(len(w), kind="collapse partition")
+    key = prepend_one_profile(w.bits, n)
+    return tuple(Word(n, bits) for bits in lr_level(n) if prepend_one_profile(bits, n) == key)
+
+
 def _collapse_classes_band(n: int, limit: int | None) -> list[CollapseClass]:
     lrs = [Word(n, bits) for bits in lr_level(n, limit)]
     claimed: set[int] = set()

@@ -72,25 +72,29 @@ def _palindromes_from_tails(n: int, tails: list[int]) -> tuple[Word, ...]:
     return tuple(sorted(w for w in candidates if is_prefix_normal_palindrome_by_profile(w)))
 
 
+def _palindromes_of_length(n: int, limit: int | None) -> tuple[Word, ...]:
+    cap = max_palindrome_length() if limit is None else limit
+    check_length(n, cap, kind="palindrome enumeration")
+    return _palindromes_from_tails(n, lr_level((n + 1) // 2, cap))
+
+
 def count_prefix_normal_palindromes(n: int, limit: int | None = None) -> int:
-    return enumerate_prefix_normal_palindromes(n, limit).count
+    return len(_palindromes_of_length(n, limit))
 
 
 def enumerate_prefix_normal_palindromes(n: int, limit: int | None = None) -> PnPalRecord:
     """All prefix normal palindromes of length n, lexicographically."""
-    cap = max_palindrome_length() if limit is None else limit
-    check_length(n, cap, kind="palindrome enumeration")
-    words = _palindromes_from_tails(n, lr_level((n + 1) // 2, cap))
+    words = _palindromes_of_length(n, limit)
     return PnPalRecord(n=n, words=words, count=len(words))
 
 
-def iter_prefix_normal_palindromes(n_max: int, limit: int | None = None):
+def iter_prefix_normal_palindromes(n_max: int):
     """Yield (n, words) for n = 0..n_max, words as in
     `enumerate_prefix_normal_palindromes`, from one walk over the levels.
 
     Like any generator, it checks n_max against the cap at the first `next`.
     """
-    cap = max_palindrome_length() if limit is None else limit
+    cap = max_palindrome_length()
     check_length(n_max, cap, kind="palindrome enumeration")
     for m, tails in iter_lr_levels((n_max + 1) // 2, cap):
         for n in (2 * m - 1, 2 * m):

@@ -8,6 +8,7 @@ from pnlab.collapse import (
     band_spec,
     candidate_collapsers,
     class_size_bound,
+    collapse_class,
     collapse_classes,
     collapses,
     extends_to_lr,
@@ -183,6 +184,12 @@ class TestClasses:
             band = [tuple(map(str, c.members)) for c in collapse_classes(n, engine="band")]
             reference = [tuple(map(str, g)) for g in oracle.brute_collapse_partition(n)]
             assert brute == band == reference
+
+    def test_one_class_matches_partition(self):
+        for n in range(0, 9):
+            for cls in collapse_classes(n):
+                for w in cls.members:
+                    assert collapse_class(w) == cls.members
 
     def test_extender_properties(self):
         for n in range(1, 12):

@@ -106,11 +106,13 @@ class TestEnumeration:
         walked = list(iter_prefix_normal_palindromes(24))
         assert walked == [(n, enumerate_prefix_normal_palindromes(n).words) for n in range(25)]
 
-    def test_walk_checks_length_before_yielding(self):
+    def test_walk_checks_length_before_yielding(self, monkeypatch):
         with pytest.raises(LimitExceededError):
             next(iter_prefix_normal_palindromes(35))
+        monkeypatch.setenv("PNLAB_MAX_N", "0")
+        assert [n for n, _ in iter_prefix_normal_palindromes(10)] == list(range(11))
         with pytest.raises(LimitExceededError):
-            next(iter_prefix_normal_palindromes(9, limit=8))
+            next(iter_prefix_normal_palindromes(11))
         with pytest.raises(ValueError):
             next(iter_prefix_normal_palindromes(-1))
 
