@@ -87,88 +87,83 @@ def cmd_verify(args) -> int:
 # --- word -------------------------------------------------------------------
 
 _WORD_FIELDS = ("f", "p", "s", "fbar", "npf", "lr", "pn", "sn", "pal", "pnpal", "pd", "pl")
+_WORD_REPORT = ("word", "n", "weight", *_WORD_FIELDS, "max_ones_sum")
 
 
-def _word_value(w: Word, key: str, use_oracle: bool) -> str:
+def _bool_text(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _word_values(w: Word, keys: list[str], use_oracle: bool) -> dict[str, str]:
+    """The named fields of w's report, from one computation of f, p and s.
+
+    The class scan behind npf and lr runs only when one of them is named,
+    and then once.
+    """
     if use_oracle:
-        f = oracle.brute_max_ones(w)
-        p = oracle.brute_prefix_ones(w)
-        s = oracle.brute_suffix_ones(w)
+        f, p, s = oracle.brute_max_ones(w), oracle.brute_prefix_ones(w), oracle.brute_suffix_ones(w)
     else:
-        f = max_ones(w)
-        p = prefix_ones(w)
-        s = suffix_ones(w)
-    if key == "f":
-        return profile_text(f)
-    if key == "p":
-        return profile_text(p)
-    if key == "s":
-        return profile_text(s)
-    if key == "fbar":
-        return profile_text(reverse_progress(f))
-    if key == "npf":
+        f, p, s = max_ones(w), prefix_ones(w), suffix_ones(w)
+    npf = lr = None
+    if "npf" in keys or "lr" in keys:
         if use_oracle:
             members = oracle.brute_class_members(w)
-            return str(next(m for m in members if oracle.brute_is_prefix_normal(m)))
-        return str(normality.prefix_normal_form(w))
-    if key == "lr":
-        if use_oracle:
-            members = oracle.brute_class_members(w)
-            return str(next(m for m in members if oracle.brute_is_suffix_normal(m)))
-        return str(normality.least_representative(w))
-    if key == "pn":
-        ok = oracle.brute_is_prefix_normal(w) if use_oracle else (f == p)
-        return "true" if ok else "false"
-    if key == "sn":
-        ok = oracle.brute_is_suffix_normal(w) if use_oracle else (f == s)
-        return "true" if ok else "false"
-    if key == "pal":
-        return "true" if palindromes.is_palindrome(w) else "false"
-    if key == "pnpal":
-        if use_oracle:
-            ok = palindromes.is_palindrome(w) and oracle.brute_is_prefix_normal(w)
+            npf = next(m for m in members if oracle.brute_is_prefix_normal(m))
+            lr = next(m for m in members if oracle.brute_is_suffix_normal(m))
         else:
-            ok = palindromes.is_prefix_normal_palindrome_by_profile(w)
-        return "true" if ok else "false"
-    if key == "pd":
-        return str(collapse.palindromic_distance(w))
-    if key == "pl":
-        return str(collapse.palindromic_prefix_length(w))
-    raise AssertionError(key)
+            npf = normality.profile_increments_word(f)
+            lr = npf.reverse()
+
+    def pnpal() -> bool:
+        if use_oracle:
+            return palindromes.is_palindrome(w) and f == p
+        return palindromes.is_prefix_normal_palindrome_by_profile(w)
+
+    def collapse_info() -> str:
+        if f != s:
+            return "n/a (not a least representative)"
+        critical = collapse.extension_critical(w)
+        members = collapse.collapse_class(w)
+        return f"extension_critical={_bool_text(critical)} class={','.join(map(str, members))}"
+
+    fields = {
+        "word": lambda: str(w),
+        "n": lambda: str(len(w)),
+        "weight": lambda: str(w.weight()),
+        "f": lambda: profile_text(f),
+        "p": lambda: profile_text(p),
+        "s": lambda: profile_text(s),
+        "fbar": lambda: profile_text(reverse_progress(f)),
+        "npf": lambda: str(npf),
+        "lr": lambda: str(lr),
+        "pn": lambda: _bool_text(f == p),
+        "sn": lambda: _bool_text(f == s),
+        "pal": lambda: _bool_text(palindromes.is_palindrome(w)),
+        "pnpal": lambda: _bool_text(pnpal()),
+        "pd": lambda: str(collapse.palindromic_distance(w)),
+        "pl": lambda: str(collapse.palindromic_prefix_length(w)),
+        "collapse": collapse_info,
+        "max_ones_sum": lambda: str(max_ones_sum(f)),
+    }
+    return {key: fields[key]() for key in keys}
 
 
 def cmd_word(args) -> int:
     w = parse_word(args.word)
-    selected = [key for key in _WORD_FIELDS if getattr(args, key)]
-    if args.collapse:
-        selected.append("collapse")
+    selected = [key for key in (*_WORD_FIELDS, "collapse") if getattr(args, key)]
     if args.oracle and (args.npf or args.lr or not selected):
         # the brute class scan behind npf and lr walks all 2^n words
         check_length(len(w), oracle.BRUTE_LIMIT, kind="brute class scan")
-
-    def value_of(key: str) -> str:
-        if key != "collapse":
-            return _word_value(w, key, args.oracle)
-        if not normality.is_suffix_normal(w):
-            return "n/a (not a least representative)"
-        critical = collapse.extension_critical(w)
-        members = collapse.collapse_class(w)
-        return f"extension_critical={'true' if critical else 'false'} class={','.join(map(str, members))}"
-
-    if len(selected) == 1:
-        print(value_of(selected[0]))
-    elif selected:
-        print(" ".join(f"{key}={value_of(key)}" for key in selected))
+    if selected:
+        values = _word_values(w, selected, args.oracle)
+        pairs = " ".join(f"{key}={values[key]}" for key in selected)
+        print(values[selected[0]] if len(selected) == 1 else pairs)
     else:
-        print(f"word={w}")
-        print(f"n={len(w)}")
-        print(f"weight={w.weight()}")
-        for key in _WORD_FIELDS:
-            if key == "pl" and len(w) == 0:
-                print("pl=n/a")
-            else:
-                print(f"{key}={_word_value(w, key, args.oracle)}")
-        print(f"max_ones_sum={max_ones_sum(max_ones(w))}")
+        # the empty word has no palindromic prefix: `--pl` alone is a usage error there
+        keys = [key for key in _WORD_REPORT if key != "pl" or len(w)]
+        values = {"pl": "n/a", **_word_values(w, keys, args.oracle)}
+        for key in _WORD_REPORT:
+            print(f"{key}={values[key]}")
     return 0
 
 
@@ -179,22 +174,15 @@ def cmd_enumerate(args) -> int:
     n = args.n
     if args.classes:
         if args.oracle:
-            part = oracle.brute_class_partition(n)
-            for sig in sorted(part):
-                members = part[sig]
-                print(
-                    json.dumps(
-                        {
-                            "signature": profile_text(sig),
-                            "npf": str(max(members)),
-                            "lr": str(min(members)),
-                            "size": len(members),
-                        }
-                    )
-                )
+            classes = {
+                sig: normality.PnClass(sig, npf=max(members), lr=min(members), size=len(members))
+                for sig, members in oracle.brute_class_partition(n).items()
+            }
+            part = normality.ClassPartition(n=n, classes=classes)
         else:
-            for line in normality.class_partition(n).to_jsonl():
-                print(line)
+            part = normality.class_partition(n)
+        for line in part.to_jsonl():
+            print(line)
         return 0
     if args.pnpals:
         if args.oracle:

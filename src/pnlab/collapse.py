@@ -206,20 +206,20 @@ class CollapseClass:
         return len(self.members)
 
 
-def collapse_classes(n: int, engine: str = "brute", limit: int | None = None) -> list[CollapseClass]:
+def collapse_classes(n: int, engine: str = "brute") -> list[CollapseClass]:
     """Partition the least representatives of length n by collapsing."""
-    check_length(n, limit, kind="collapse partition")
+    check_length(n, kind="collapse partition")
     if engine == "brute":
         # the level is increasing, so groups come out sorted and in extender order
         groups: dict[Profile, list[int]] = {}
-        for bits in lr_level(n, limit):
+        for bits in lr_level(n):
             groups.setdefault(prepend_one_profile(bits, n), []).append(bits)
         return [
             CollapseClass(n=n, extender=Word(n, vals[0]), members=tuple(Word(n, v) for v in vals))
             for vals in groups.values()
         ]
     if engine == "band":
-        return _collapse_classes_band(n, limit)
+        return _collapse_classes_band(n)
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -230,8 +230,8 @@ def collapse_class(w: Word) -> tuple[Word, ...]:
     return tuple(Word(n, bits) for bits in lr_level(n) if prepend_one_profile(bits, n) == key)
 
 
-def _collapse_classes_band(n: int, limit: int | None) -> list[CollapseClass]:
-    lrs = [Word(n, bits) for bits in lr_level(n, limit)]
+def _collapse_classes_band(n: int) -> list[CollapseClass]:
+    lrs = [Word(n, bits) for bits in lr_level(n)]
     claimed: set[int] = set()
     classes: list[CollapseClass] = []
     for w in lrs:

@@ -58,14 +58,14 @@ def least_representative(w: Word) -> Word:
     return prefix_normal_form(w).reverse()
 
 
-def class_members(w: Word, limit: int | None = None) -> list[Word]:
+def class_members(w: Word) -> list[Word]:
     """All words with w's profile, in lexicographic order.
 
     Candidates are grown letter by letter, pruned when the running prefix
     count leaves the feasible range, and verified exactly at full length.
     """
     n = len(w)
-    check_length(n, limit, kind="class materialization")
+    check_length(n, kind="class materialization")
     f = max_ones(w)
     total = f[n]
     out: list[Word] = []
@@ -106,7 +106,9 @@ def extends_by_one(bits: int, m: int) -> bool:
 
 def iter_lr_levels(n_max: int, limit: int | None = None):
     """Yield (m, level) for m = 0..n_max; a level is the increasing list of
-    packed least representatives of length m."""
+    packed least representatives of length m.  The cap is the word cap unless
+    a limit is given: the palindrome layer builds its half-length levels under
+    the palindrome cap, so PNLAB_MAX_N=0 still serves `sequence npal 10`."""
     check_length(n_max, limit)
     level = [0]
     yield 0, level
@@ -122,15 +124,15 @@ def lr_level(n: int, limit: int | None = None) -> list[int]:
     return level
 
 
-def enumerate_least_representatives(n: int, limit: int | None = None):
+def enumerate_least_representatives(n: int):
     """All suffix normal words of length n, lexicographically."""
-    for bits in lr_level(n, limit):
+    for bits in lr_level(n):
         yield Word(n, bits)
 
 
-def count_least_representatives(n_max: int, limit: int | None = None) -> list[int]:
+def count_least_representatives(n_max: int) -> list[int]:
     """Class counts per length; entry [n] is the number of length-n classes."""
-    return [len(level) for _, level in iter_lr_levels(n_max, limit)]
+    return [len(level) for _, level in iter_lr_levels(n_max)]
 
 
 # --- full partition of one length ------------------------------------------
@@ -165,14 +167,14 @@ class ClassPartition:
             )
 
 
-def class_partition(n: int, materialize: bool = False, limit: int | None = None) -> ClassPartition:
+def class_partition(n: int, materialize: bool = False) -> ClassPartition:
     """Partition all 2^n words by max-ones profile.
 
     Scans the full space, so it is far more expensive than the level
     construction; sizes and optional member lists are what it buys.
-    It has its own cap, the partition cap, unless a limit is given.
+    It has its own cap, the partition cap.
     """
-    check_length(n, max_partition_length() if limit is None else limit, kind="partition")
+    check_length(n, max_partition_length(), kind="partition")
     buckets: dict[Profile, list[int]] = {}
     for value in range(1 << n):
         sig = max_ones(Word(n, value))

@@ -72,19 +72,19 @@ def _palindromes_from_tails(n: int, tails: list[int]) -> tuple[Word, ...]:
     return tuple(sorted(w for w in candidates if is_prefix_normal_palindrome_by_profile(w)))
 
 
-def _palindromes_of_length(n: int, limit: int | None) -> tuple[Word, ...]:
-    cap = max_palindrome_length() if limit is None else limit
+def _palindromes_of_length(n: int) -> tuple[Word, ...]:
+    cap = max_palindrome_length()
     check_length(n, cap, kind="palindrome enumeration")
     return _palindromes_from_tails(n, lr_level((n + 1) // 2, cap))
 
 
-def count_prefix_normal_palindromes(n: int, limit: int | None = None) -> int:
-    return len(_palindromes_of_length(n, limit))
+def count_prefix_normal_palindromes(n: int) -> int:
+    return len(_palindromes_of_length(n))
 
 
-def enumerate_prefix_normal_palindromes(n: int, limit: int | None = None) -> PnPalRecord:
+def enumerate_prefix_normal_palindromes(n: int) -> PnPalRecord:
     """All prefix normal palindromes of length n, lexicographically."""
-    words = _palindromes_of_length(n, limit)
+    words = _palindromes_of_length(n)
     return PnPalRecord(n=n, words=words, count=len(words))
 
 

@@ -57,10 +57,6 @@ class Word:
             raise ValueError("packed value does not fit the word length")
 
     @staticmethod
-    def parse(text: str) -> "Word":
-        return parse_word(text)
-
-    @staticmethod
     def from_bits(bits) -> "Word":
         value = 0
         count = 0

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import pnlab
+from pnlab import oracle, verify
 from pnlab.cli import main
 
 SRC = str(Path(pnlab.__file__).resolve().parents[1])
@@ -124,6 +125,19 @@ class TestVerify:
         assert "counterexample" in out.splitlines()[-1]
         assert "n=6" in out.splitlines()[-1]
 
+    def test_failing_suite_path(self, monkeypatch):
+        # flip the profile test on one word, so that palchar finds a disagreement
+        profile_test = verify.is_prefix_normal_palindrome_by_profile
+        monkeypatch.setattr(
+            verify, "is_prefix_normal_palindrome_by_profile", lambda w: profile_test(w) != (str(w) == "1001")
+        )
+        code, out, _ = run(["verify", "palchar", "4"])
+        assert code == 1
+        assert out.splitlines() == [
+            *(f"PASS n={n} words={1 << n} (exhaustive)" for n in range(4)),
+            "counterexample 1001 (definition and profile test disagree)",
+        ]
+
     def test_palupperbound_flags_but_passes(self):
         code, out, _ = run(["verify", "palupperbound", "10"])
         assert code == 0
@@ -157,6 +171,13 @@ class TestWord:
         assert report["sn"] == "false"
         assert report["s"] == "1,1,2,2,3,4"
         assert report["pnpal"] == "false"
+        code, out, _ = run(["word", ""])
+        assert code == 0
+        report = dict(line.split("=", 1) for line in out.splitlines())
+        assert (report["n"], report["pd"], report["pl"]) == ("0", "0", "n/a")
+        # alone, the empty word's missing palindromic prefix is a usage error
+        code, out, err = run(["word", "", "--pl"])
+        assert (code, out) == (2, "") and "empty word" in err
 
     def test_oracle_flag_matches(self):
         _, fast, _ = run(["word", "101101"])
@@ -167,6 +188,7 @@ class TestWord:
         code, out, _ = run(["word", "0011", "--collapse"])
         assert code == 0
         assert out == "extension_critical=false class=0011,1001\n"
+        assert run(["word", "0110", "--collapse"]) == (0, "n/a (not a least representative)\n", "")
 
     def test_collapse_matches_collapse_classes(self):
         for n in range(0, 11):
@@ -176,6 +198,21 @@ class TestWord:
                     critical = "true" if pnlab.extension_critical(w) else "false"
                     expected = f"extension_critical={critical} class={members}\n"
                     assert run(["word", str(w), "--collapse"]) == (0, expected, ""), w
+
+    def test_oracle_class_scan_runs_once(self, monkeypatch):
+        brute_class_members = oracle.brute_class_members
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return brute_class_members(w)
+
+        monkeypatch.setattr(oracle, "brute_class_members", counted)
+        _, brute, _ = run(["word", "1101101", "--oracle"])
+        assert len(calls) == 1
+        assert brute == run(["word", "1101101"])[1]
+        run(["word", "1101101", "--f", "--oracle"])
+        assert len(calls) == 1
 
     def test_oracle_class_scan_cap(self):
         long_word = "10110111011101110"  # 17 letters, one over oracle.BRUTE_LIMIT

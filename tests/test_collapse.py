@@ -177,6 +177,8 @@ class TestClasses:
         assert len(collapse_classes(1)) == 2
         assert len(collapse_classes(2)) == 3
         assert len(collapse_classes(4)) == 7
+        with pytest.raises(ValueError, match="unknown engine"):
+            collapse_classes(3, "nope")
 
     def test_engines_and_oracle_agree(self):
         for n in range(1, 11):

@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 import pnlab
@@ -16,4 +17,15 @@ def test_no_private_names_imported_across_modules():
                     for alias in node.names
                     if alias.name.startswith("_")
                 ]
+    assert offenders == []
+
+
+def test_no_public_function_takes_a_limit():
+    # PNLAB_MAX_N is the only way to move a cap; each operation checks its own
+    offenders = [
+        name
+        for name in pnlab.__all__
+        if inspect.isfunction(obj := getattr(pnlab, name))
+        and "limit" in inspect.signature(obj).parameters
+    ]
     assert offenders == []

@@ -1,8 +1,13 @@
 import pytest
 
 from pnlab import oracle
-from pnlab.collapse import collapse_classes
-from pnlab.limits import LimitExceededError
+from pnlab.collapse import collapse_class, collapse_classes
+from pnlab.limits import (
+    LimitExceededError,
+    max_palindrome_length,
+    max_partition_length,
+    max_word_length,
+)
 from pnlab.normality import (
     class_members,
     class_partition,
@@ -16,7 +21,7 @@ from pnlab.normality import (
     pn_equivalent,
     prefix_normal_form,
 )
-from pnlab.palindromes import count_prefix_normal_palindromes
+from pnlab.palindromes import count_prefix_normal_palindromes, enumerate_prefix_normal_palindromes
 from pnlab.words import Word, max_ones, parse_word
 
 
@@ -104,7 +109,7 @@ class TestClassMembers:
 
     def test_limit(self):
         with pytest.raises(LimitExceededError):
-            class_members(Word(30, 0), limit=29)
+            class_members(Word(25, 0))
 
 
 class TestEnumeration:
@@ -130,6 +135,28 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="must be >= 0"):
             build(-3)
         build(0)
+
+    @pytest.mark.parametrize(
+        "build,cap",
+        [
+            pytest.param(lambda n: list(enumerate_least_representatives(n)), max_word_length, id="enumerate_lr"),
+            pytest.param(count_least_representatives, max_word_length, id="count_lr"),
+            pytest.param(lr_level, max_word_length, id="lr_level"),
+            pytest.param(lambda n: collapse_classes(n, "brute"), max_word_length, id="collapse_brute"),
+            pytest.param(lambda n: collapse_classes(n, "band"), max_word_length, id="collapse_band"),
+            pytest.param(lambda n: collapse_class(Word(n, 0)), max_word_length, id="collapse_class"),
+            pytest.param(lambda n: class_members(Word(n, 0)), max_word_length, id="class_members"),
+            pytest.param(class_partition, max_partition_length, id="class_partition"),
+            pytest.param(count_prefix_normal_palindromes, max_palindrome_length, id="count_pnpal"),
+            pytest.param(enumerate_prefix_normal_palindromes, max_palindrome_length, id="enumerate_pnpal"),
+        ],
+    )
+    def test_cap_follows_environment(self, monkeypatch, build, cap):
+        # PNLAB_MAX_N is the only way to move a cap: word 6, partition 2, palindrome 16
+        monkeypatch.setenv("PNLAB_MAX_N", "6")
+        build(cap())
+        with pytest.raises(LimitExceededError):
+            build(cap() + 1)
 
     def test_prepends(self):
         # prepending 0 preserves canonical words, non-canonical words stay lost
