@@ -4,7 +4,8 @@ Subcommands: sequence, verify, word, enumerate, collapse-classes,
 bounds, jpm.  Sequences print CSV with an "n,value" header, structured
 records print JSON lines, word reports print plain text.  Exit codes:
 0 success, 1 verification counterexample, 2 usage error, 3 enumeration
-limit exceeded.  PNLAB_MAX_N overrides the enumeration limit.
+limit exceeded, 4 internal error (a bug in pnlab; the traceback goes to
+stderr).  PNLAB_MAX_N overrides the enumeration limit.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import collapse, jpm, normality, oracle, palindromes, verify
-from .limits import LimitExceededError, check_length, max_palindrome_length, max_partition_length
+from .limits import LimitExceededError, UsageError, check_length
 from .words import (
     Word,
     max_ones,
@@ -36,37 +38,24 @@ JOBS_HELP = "ignored: every command runs in one process"
 
 def cmd_sequence(args) -> int:
     n_max = args.n_max
-    # an over-cap run prints nothing, not a header with no rows
-    if args.name == "npal":
-        check_length(n_max, max_palindrome_length(), kind="palindrome enumeration")
-    elif args.name == "pn-count" and args.oracle:
+    if args.name == "pn-count" and args.oracle:
         check_length(n_max, oracle.BRUTE_LIMIT, kind="brute partition")
-    elif args.name == "max-class-size":
-        check_length(n_max, max_partition_length(), kind="partition")
-    else:
-        check_length(n_max)
-    print("n,value")
-    if args.name == "pn-count":
-        if args.oracle:
-            for n in range(1, n_max + 1):
-                print(f"{n},{len(oracle.brute_class_partition(n))}")
-        else:
-            for m, level in normality.iter_lr_levels(n_max):
-                if m >= 1:
-                    print(f"{m},{len(level)}")
+        rows = ((n, len(oracle.brute_class_partition(n))) for n in range(n_max + 1))
+    elif args.name == "pn-count":
+        rows = ((m, len(level)) for m, level in normality.iter_lr_levels(n_max))
     elif args.name == "npal":
-        for n, words in palindromes.iter_prefix_normal_palindromes(n_max):
-            if n >= 1:
-                print(f"{n},{len(words)}")
+        rows = ((n, len(words)) for n, words in palindromes.iter_prefix_normal_palindromes(n_max))
     elif args.name == "collapse-classes":
-        for m, level in normality.iter_lr_levels(n_max):
-            if m >= 1:
-                # lexsmall theorem: one member per class extends, except in the all-zeros class
-                print(f"{m},{sum(normality.extends_by_one(bits, m) for bits in level) + 1}")
-    elif args.name == "max-class-size":
-        for n in range(1, n_max + 1):
-            part = normality.class_partition(n)
-            print(f"{n},{max(cls.size for cls in part)}")
+        # lexsmall theorem: one member per class extends, except in the all-zeros class
+        levels = normality.iter_lr_levels(n_max)
+        rows = ((m, sum(normality.extends_by_one(bits, m) for bits in level) + 1) for m, level in levels)
+    else:
+        rows = ((part.n, max(cls.size for cls in part)) for part in normality.iter_class_partitions(n_max))
+    # row 0 is never printed; taking it runs the walk's cap check, so an over-cap run prints nothing
+    next(rows)
+    print("n,value")
+    for n, value in rows:
+        print(f"{n},{value}")
     return 0
 
 
@@ -356,9 +345,13 @@ def main(argv=None) -> int:
     except LimitExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # WordParseError included
+    except UsageError as exc:  # WordParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

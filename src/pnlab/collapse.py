@@ -31,10 +31,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .limits import check_length
+from .limits import UsageError, check_length
 from .normality import (
     extends_by_one,
     is_suffix_normal,
+    iter_lr_levels,
     lr_level,
     profile_increments_word,
 )
@@ -209,18 +210,15 @@ class CollapseClass:
 def collapse_classes(n: int, engine: str = "brute") -> list[CollapseClass]:
     """Partition the least representatives of length n by collapsing."""
     check_length(n, kind="collapse partition")
-    if engine == "brute":
-        # the level is increasing, so groups come out sorted and in extender order
-        groups: dict[Profile, list[int]] = {}
-        for bits in lr_level(n):
-            groups.setdefault(prepend_one_profile(bits, n), []).append(bits)
-        return [
-            CollapseClass(n=n, extender=Word(n, vals[0]), members=tuple(Word(n, v) for v in vals))
-            for vals in groups.values()
-        ]
-    if engine == "band":
-        return _collapse_classes_band(n)
-    raise ValueError(f"unknown engine {engine!r}")
+    return _level_classes(n, engine)
+
+
+def iter_collapse_classes(n_max: int, engine: str = "brute"):
+    """Yield (n, collapse_classes(n, engine)) for n = 0..n_max, from one walk over
+    the levels.  Like any generator, it checks n_max against the cap at the first `next`."""
+    check_length(n_max, kind="collapse partition")
+    for n, level in iter_lr_levels(n_max):
+        yield n, _level_classes(n, engine, level)
 
 
 def collapse_class(w: Word) -> tuple[Word, ...]:
@@ -230,8 +228,22 @@ def collapse_class(w: Word) -> tuple[Word, ...]:
     return tuple(Word(n, bits) for bits in lr_level(n) if prepend_one_profile(bits, n) == key)
 
 
-def _collapse_classes_band(n: int) -> list[CollapseClass]:
-    lrs = [Word(n, bits) for bits in lr_level(n)]
+def _level_classes(n: int, engine: str, level: list[int] | None = None) -> list[CollapseClass]:
+    """The collapse classes of length n grouped by `engine`, from its level (built if not given)."""
+    if engine not in ("brute", "band"):
+        raise ValueError(f"unknown engine {engine!r}")
+    if level is None:
+        level = lr_level(n)
+    if engine == "brute":
+        # the level is increasing, so groups come out sorted and in extender order
+        groups: dict[Profile, list[int]] = {}
+        for bits in level:
+            groups.setdefault(prepend_one_profile(bits, n), []).append(bits)
+        return [
+            CollapseClass(n=n, extender=Word(n, vals[0]), members=tuple(Word(n, v) for v in vals))
+            for vals in groups.values()
+        ]
+    lrs = [Word(n, bits) for bits in level]
     claimed: set[int] = set()
     classes: list[CollapseClass] = []
     for w in lrs:
@@ -301,7 +313,7 @@ def palindromic_prefix_length(w: Word) -> int:
     """Length of the longest prefix that is a palindrome."""
     n = len(w)
     if n == 0:
-        raise ValueError("empty word has no palindromic prefix length")
+        raise UsageError("empty word has no palindromic prefix length")
     for k in range(n, 0, -1):
         prefix = w.slice(1, k)
         if prefix == prefix.reverse():

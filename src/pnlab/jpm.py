@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .limits import UsageError
 from .words import Profile, Word, max_ones
 
 
@@ -32,5 +33,5 @@ def build_index(w: Word) -> JumbledIndex:
 def query(idx: JumbledIndex, k: int, d: int) -> bool:
     """Does some factor of length k contain exactly d ones?"""
     if not 0 <= k <= idx.n:
-        raise ValueError(f"factor length {k} outside 0..{idx.n}")
+        raise UsageError(f"factor length {k} outside 0..{idx.n}")
     return idx.fmin[k] <= d <= idx.fmax[k]

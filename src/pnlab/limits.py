@@ -20,12 +20,16 @@ class LimitExceededError(Exception):
     """Requested length is above the configured enumeration cap."""
 
 
+class UsageError(ValueError):
+    """A request pnlab cannot serve as asked: a bad length, cap, word or query."""
+
+
 def max_word_length() -> int:
     raw = os.environ.get(ENV_VAR)
     if raw is None:
         return DEFAULT_MAX_N
     if not raw.strip().isdecimal():
-        raise ValueError(f"{ENV_VAR} must be a non-negative integer, got {raw!r}")
+        raise UsageError(f"{ENV_VAR} must be a non-negative integer, got {raw!r}")
     return int(raw)
 
 
@@ -40,7 +44,7 @@ def max_partition_length() -> int:
 def check_length(n: int, limit: int | None = None, kind: str = "enumeration") -> int:
     """Return n when 0 <= n <= the cap (limit, else the word cap)."""
     if n < 0:
-        raise ValueError(f"{kind} length must be >= 0, got {n}")
+        raise UsageError(f"{kind} length must be >= 0, got {n}")
     cap = max_word_length() if limit is None else limit
     if n > cap:
         raise LimitExceededError(f"{kind} at length {n} exceeds the limit of {cap}")

@@ -190,3 +190,11 @@ def class_partition(n: int, materialize: bool = False) -> ClassPartition:
             members=tuple(Word(n, v) for v in values) if materialize else None,
         )
     return ClassPartition(n=n, classes=classes)
+
+
+def iter_class_partitions(n_max: int, materialize: bool = False):
+    """Yield class_partition(n, materialize) for n = 0..n_max.  Like any
+    generator, it checks n_max against the partition cap at the first `next`."""
+    check_length(n_max, max_partition_length(), kind="partition")
+    for n in range(n_max + 1):
+        yield class_partition(n, materialize)

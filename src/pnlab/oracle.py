@@ -8,7 +8,7 @@ from being obviously correct.
 
 from __future__ import annotations
 
-from .limits import LimitExceededError
+from .limits import LimitExceededError, UsageError
 from .words import Profile, Word
 
 BRUTE_LIMIT = 16
@@ -99,7 +99,7 @@ def brute_jumbled_witness(w: Word, k: int, d: int) -> int | None:
     """First 1-based start position of a length-k factor with d ones, if any."""
     n = len(w)
     if not 0 <= k <= n:
-        raise ValueError(f"factor length {k} outside 0..{n}")
+        raise UsageError(f"factor length {k} outside 0..{n}")
     if k == 0:
         return 1 if d == 0 else None
     bits = w.bits

@@ -1,29 +1,36 @@
 """Named verification suites.
 
-Each check sweeps one structural claim over all instances up to a given
-length and reports per-length PASS lines, stopping at the first
-counterexample.  The `palupperbound` check is special: the literal
-form of that bound fails for a few small lengths, so those are reported
-as FLAGGED while only the corrected form gates the result.
+Each suite sweeps one structural claim over all instances up to a given
+length.  It is a generator that yields one PASS line per length and
+raises `Counterexample` at the first instance that breaks the claim; the
+`suite` decorator registers it in CHECKS and turns it into the
+check_*(n_max) -> VerifyReport that callers use.  Each suite reads one
+walk over the lengths that checks n_max against its cap before any
+work, so an over-cap run fails at once.  The `palupperbound` check is
+special: the literal form of that bound fails for a few small lengths,
+so those are reported as FLAGGED while only the corrected form gates
+the result.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import islice
 
 from .collapse import (
     class_size_bound,
-    collapse_classes,
     index_bounds,
+    iter_collapse_classes,
     prepend_one_profile,
     validate_lr_profile,
 )
 from .normality import (
-    class_partition,
     count_least_representatives,
     is_suffix_normal,
+    iter_class_partitions,
     iter_lr_levels,
 )
 from .palindromes import (
@@ -46,82 +53,93 @@ class VerifyReport:
     counterexample: str | None = None
 
 
-def _fail(name: str, lines: list[str], word: Word, detail: str) -> VerifyReport:
-    return VerifyReport(
-        name=name,
-        ok=False,
-        lines=lines,
-        counterexample=f"counterexample {word!s} ({detail})",
-    )
+class Counterexample(Exception):
+    """Raised by a suite at the first instance that breaks its claim."""
+
+    def __init__(self, instance, detail: str):
+        super().__init__(f"counterexample {instance} ({detail})")
 
 
-def check_palchar(n_max: int) -> VerifyReport:
-    """Palindrome test by definition and by profile mirror must agree."""
-    lines = []
-    for n in range(0, min(n_max, EXHAUSTIVE_PROFILE_LIMIT) + 1):
-        for value in range(1 << n):
-            w = Word(n, value)
-            if is_prefix_normal_palindrome(w) != is_prefix_normal_palindrome_by_profile(w):
-                return _fail("palchar", lines, w, "definition and profile test disagree")
-        lines.append(f"PASS n={n} words={1 << n} (exhaustive)")
+CHECKS: dict[str, tuple[Callable[[int], VerifyReport], str]] = {}
+
+
+def suite(name: str, description: str):
+    """Register a suite generator in CHECKS under `name`; return its check_*(n_max)."""
+
+    def register(lines_of):
+        @wraps(lines_of)
+        def check(n_max: int) -> VerifyReport:
+            lines: list[str] = []
+            try:
+                for line in lines_of(n_max):
+                    lines.append(line)
+            except Counterexample as exc:
+                return VerifyReport(name, False, lines, str(exc))
+            return VerifyReport(name, True, lines)
+
+        CHECKS[name] = (check, description)
+        return check
+
+    return register
+
+
+@suite("palchar", "palindrome test by definition equals the profile-mirror test")
+def check_palchar(n_max: int):
+    """Palindrome test by definition and by profile mirror must agree: on
+    every word up to EXHAUSTIVE_PROFILE_LIMIT letters, on seeded random words beyond."""
     rng = random.Random(RANDOM_SEED)
-    for n in range(EXHAUSTIVE_PROFILE_LIMIT + 1, n_max + 1):
-        for _ in range(RANDOM_WORDS_PER_LENGTH):
-            w = Word(n, rng.getrandbits(n))
+    for n in range(n_max + 1):
+        exhaustive = n <= EXHAUSTIVE_PROFILE_LIMIT
+        count = 1 << n if exhaustive else RANDOM_WORDS_PER_LENGTH
+        for value in range(count):
+            w = Word(n, value if exhaustive else rng.getrandbits(n))
             if is_prefix_normal_palindrome(w) != is_prefix_normal_palindrome_by_profile(w):
-                return _fail("palchar", lines, w, "definition and profile test disagree")
-        lines.append(f"PASS n={n} words={RANDOM_WORDS_PER_LENGTH} (random)")
-    return VerifyReport("palchar", True, lines)
+                raise Counterexample(w, "definition and profile test disagree")
+        yield f"PASS n={n} words={count} ({'exhaustive' if exhaustive else 'random'})"
 
 
-def check_leastsuffix(n_max: int) -> VerifyReport:
+@suite("leastsuffix", "unique canonical members, maximum reversed onto minimum")
+def check_leastsuffix(n_max: int):
     """Each class: one prefix normal member (its maximum), one suffix normal
     member (its minimum), and the two are reversals of each other."""
-    lines = []
-    for n in range(0, n_max + 1):
-        part = class_partition(n, materialize=True)
+    for part in iter_class_partitions(n_max, materialize=True):
         for cls in part:
             members = cls.members
             pn = [m for m in members if prefix_ones(m) == cls.signature]
             sn = [m for m in members if suffix_ones(m) == cls.signature]
             if len(pn) != 1 or len(sn) != 1:
-                return _fail("leastsuffix", lines, members[0], "canonical member not unique")
+                raise Counterexample(members[0], "canonical member not unique")
             if pn[0] != max(members) or pn[0] != cls.npf:
-                return _fail("leastsuffix", lines, pn[0], "prefix normal member is not the maximum")
+                raise Counterexample(pn[0], "prefix normal member is not the maximum")
             if sn[0] != min(members) or sn[0] != cls.lr or sn[0] != cls.npf.reverse():
-                return _fail("leastsuffix", lines, sn[0], "least representative is not the reversed maximum")
-        lines.append(f"PASS n={n} classes={len(part.classes)}")
-    return VerifyReport("leastsuffix", True, lines)
+                raise Counterexample(sn[0], "least representative is not the reversed maximum")
+        yield f"PASS n={part.n} classes={len(part.classes)}"
 
 
-def check_corlol(n_max: int) -> VerifyReport:
+@suite("corlol", "singleton classes are exactly the prefix normal palindromes")
+def check_corlol(n_max: int):
     """Singleton classes are exactly the prefix normal palindromes."""
-    lines = []
-    for n, words in iter_prefix_normal_palindromes(n_max):
-        part = class_partition(n)
+    for (n, words), part in zip(iter_prefix_normal_palindromes(n_max), iter_class_partitions(n_max)):
         singles = {cls.lr for cls in part if cls.size == 1}
         pals = set(words)
         if singles != pals:
-            odd = (singles ^ pals).pop()
-            return _fail("corlol", lines, odd, "singleton classes differ from palindromes")
-        lines.append(f"PASS n={n} singletons={len(singles)}")
-    return VerifyReport("corlol", True, lines)
+            raise Counterexample((singles ^ pals).pop(), "singleton classes differ from palindromes")
+        yield f"PASS n={n} singletons={len(singles)}"
 
 
-def check_pchar(n_max: int) -> VerifyReport:
+@suite("pchar", "least representatives satisfy the profile shape inequalities")
+def check_pchar(n_max: int):
     """Every least representative satisfies the suffix-profile inequalities."""
-    lines = []
     for n, level in iter_lr_levels(n_max):
         for bits in level:
             if not validate_lr_profile(suffix_ones(Word(n, bits))):
-                return _fail("pchar", lines, Word(n, bits), "profile violates the shape inequalities")
-        lines.append(f"PASS n={n}")
-    return VerifyReport("pchar", True, lines)
+                raise Counterexample(Word(n, bits), "profile violates the shape inequalities")
+        yield f"PASS n={n}"
 
 
-def check_symminf(n_max: int) -> VerifyReport:
+@suite("symminf", "1-prepend profile changes appear at mirror positions")
+def check_symminf(n_max: int):
     """Profile changes caused by prepending 1 appear at mirror positions."""
-    lines = []
     for n, level in iter_lr_levels(n_max):
         for bits in level:
             w = Word(n, bits)
@@ -129,15 +147,14 @@ def check_symminf(n_max: int) -> VerifyReport:
             f1 = max_ones(w.prepend(1))
             for i in range(1, n + 1):
                 if (f1[i] != f[i]) != (f1[n - i + 1] != f[n - i + 1]):
-                    return _fail("symminf", lines, w, f"asymmetric change at position {i}")
-        lines.append(f"PASS n={n}")
-    return VerifyReport("symminf", True, lines)
+                    raise Counterexample(w, f"asymmetric change at position {i}")
+        yield f"PASS n={n}"
 
 
-def check_falsecollapse(n_max: int) -> VerifyReport:
+@suite("falsecollapse", "mixed prepends overlap only at the all-zeros pair")
+def check_falsecollapse(n_max: int):
     """A 0-prepend and a 1-prepend of distinct least representatives share a
     class only for the all-zeros word and its odd sibling."""
-    lines = []
     for n, level in islice(iter_lr_levels(n_max), 1, None):
         zero_side = {}
         one_side = {}
@@ -149,16 +166,15 @@ def check_falsecollapse(n_max: int) -> VerifyReport:
         for sig, w in zero_side.items():
             for v in one_side.get(sig, []):
                 if (w, v) != expected:
-                    return _fail("falsecollapse", lines, w, f"unexpected overlap with {v}")
-        lines.append(f"PASS n={n}")
-    return VerifyReport("falsecollapse", True, lines)
+                    raise Counterexample(w, f"unexpected overlap with {v}")
+        yield f"PASS n={n}"
 
 
-def check_smallsum(n_max: int) -> VerifyReport:
+@suite("smallsum", "extenders dominate their class profiles")
+def check_smallsum(n_max: int):
     """Extenders dominate their class pointwise and strictly in profile sum."""
-    lines = []
-    for n in range(1, n_max + 1):
-        for cls in collapse_classes(n):
+    for n, classes in islice(iter_collapse_classes(n_max), 1, None):
+        for cls in classes:
             if cls.extender.bits == 0:
                 continue
             fe = max_ones(cls.extender)
@@ -166,54 +182,49 @@ def check_smallsum(n_max: int) -> VerifyReport:
             for v in cls.members[1:]:
                 fv = max_ones(v)
                 if any(fv[i] > fe[i] for i in range(n + 1)) or max_ones_sum(fv) >= se:
-                    return _fail("smallsum", lines, v, f"not dominated by extender {cls.extender}")
-        lines.append(f"PASS n={n}")
-    return VerifyReport("smallsum", True, lines)
+                    raise Counterexample(v, f"not dominated by extender {cls.extender}")
+        yield f"PASS n={n}"
 
 
-def check_lexsmall(n_max: int) -> VerifyReport:
+@suite("lexsmall", "the minimum of each class is the only extending member")
+def check_lexsmall(n_max: int):
     """In each class, exactly the lexicographic minimum extends; the
     all-zeros class has no extending member at all."""
-    lines = []
-    for n in range(1, n_max + 1):
-        for cls in collapse_classes(n):
+    for n, classes in islice(iter_collapse_classes(n_max), 1, None):
+        for cls in classes:
             extending = {v for v in cls.members if is_suffix_normal(v.prepend(1))}
             if cls.extender.bits == 0:
                 if extending:
-                    return _fail("lexsmall", lines, cls.extender, "all-zeros class should not extend")
+                    raise Counterexample(cls.extender, "all-zeros class should not extend")
             elif extending != {cls.extender}:
-                return _fail("lexsmall", lines, cls.extender, "extending member is not the minimum alone")
-        lines.append(f"PASS n={n}")
-    return VerifyReport("lexsmall", True, lines)
+                raise Counterexample(cls.extender, "extending member is not the minimum alone")
+        yield f"PASS n={n}"
 
 
-def check_collapstheo(n_max: int) -> VerifyReport:
+@suite("collapstheo", "band-search collapse classes equal the definitional grouping")
+def check_collapstheo(n_max: int):
     """Band-search collapse classes equal the grouping by definition."""
-    lines = []
-    for n in range(1, n_max + 1):
-        brute = [tuple(v.bits for v in c.members) for c in collapse_classes(n, engine="brute")]
-        band = [tuple(v.bits for v in c.members) for c in collapse_classes(n, engine="band")]
+    engines = zip(iter_collapse_classes(n_max, engine="brute"), iter_collapse_classes(n_max, engine="band"))
+    for (n, brute), (_, band) in islice(engines, 1, None):
         if brute != band:
             diff = next(b for b, d in zip(brute, band) if b != d)
-            return _fail("collapstheo", lines, Word(n, diff[0]), "engines disagree")
-        lines.append(f"PASS n={n} classes={len(brute)}")
-    return VerifyReport("collapstheo", True, lines)
+            raise Counterexample(diff.extender, "engines disagree")
+        yield f"PASS n={n} classes={len(brute)}"
 
 
-def check_collapsindex(n_max: int) -> VerifyReport:
+@suite("collapsindex", "palindromic-distance bound dominates collapse-class sizes")
+def check_collapsindex(n_max: int):
     """The palindromic-distance bound dominates every collapse-class size."""
-    lines = []
-    for n in range(1, n_max + 1):
+    for n, classes in islice(iter_collapse_classes(n_max), 1, None):
         worst = 1
-        for cls in collapse_classes(n):
+        for cls in classes:
             if cls.extender.bits == 0:
                 continue
             bound = class_size_bound(cls.extender)
             if cls.size > bound:
-                return _fail("collapsindex", lines, cls.extender, f"size {cls.size} above bound {bound}")
+                raise Counterexample(cls.extender, f"size {cls.size} above bound {bound}")
             worst = max(worst, cls.size)
-        lines.append(f"PASS n={n} max-class-size={worst}")
-    return VerifyReport("collapsindex", True, lines)
+        yield f"PASS n={n} max-class-size={worst}"
 
 
 def bounds_by_length(n_max: int):
@@ -224,40 +235,35 @@ def bounds_by_length(n_max: int):
         yield n, counts[n + 1], index_bounds(counts[n], pal[n - 1], pal[n + 1], pal[n])
 
 
-def check_palcol(n_max: int) -> VerifyReport:
+@suite("palcol", "palindrome-count bracket around the next class count")
+def check_palcol(n_max: int):
     """Palindrome-count bracket around the class count of the next length."""
-    lines = []
     for n, actual, b in bounds_by_length(n_max):
         if not b.lower <= actual <= b.upper_palcol:
-            return VerifyReport(
-                "palcol", False, lines,
-                counterexample=f"counterexample n={n} (bracket {b.lower}..{b.upper_palcol} misses {actual})",
-            )
-        lines.append(f"PASS n={n} {b.lower} <= {actual} <= {b.upper_palcol}")
-    return VerifyReport("palcol", True, lines)
+            raise Counterexample(f"n={n}", f"bracket {b.lower}..{b.upper_palcol} misses {actual}")
+        yield f"PASS n={n} {b.lower} <= {actual} <= {b.upper_palcol}"
 
 
-def check_notpal(n_max: int) -> VerifyReport:
+@suite("notpal", "palindromes extend by appending 1, never by prepending")
+def check_notpal(n_max: int):
     """Prefix normal palindromes other than all-ones: prepending 1 never
     gives a least representative, appending 1 always does."""
-    lines = []
     for n, words in islice(iter_prefix_normal_palindromes(n_max), 1, None):
         for w in words:
             if w.bits == (1 << n) - 1:
                 continue
             if is_suffix_normal(w.prepend(1)):
-                return _fail("notpal", lines, w, "1-prepend unexpectedly canonical")
+                raise Counterexample(w, "1-prepend unexpectedly canonical")
             if not is_suffix_normal(w.append(1)):
-                return _fail("notpal", lines, w, "1-append unexpectedly not canonical")
-        lines.append(f"PASS n={n}")
-    return VerifyReport("notpal", True, lines)
+                raise Counterexample(w, "1-append unexpectedly not canonical")
+        yield f"PASS n={n}"
 
 
-def check_ww_family(n_max: int) -> VerifyReport:
+@suite("ww-w0w-1ww1", "doubled-palindrome exclusions")
+def check_ww_family(n_max: int):
     """Doubling constructions: ww and w1w never stay prefix normal
     palindromes; w0w forces a single 0 after the leading 1-run; 1ww1
     forces the word to start 10."""
-    lines = []
     one = Word(1, 1)
     zero = Word(1, 0)
     for n, words in islice(iter_prefix_normal_palindromes(n_max), 1, None):
@@ -266,74 +272,46 @@ def check_ww_family(n_max: int) -> VerifyReport:
             if w.bits in (0, all_ones):
                 continue
             if is_prefix_normal_palindrome(w + w):
-                return _fail("ww-w0w-1ww1", lines, w, "ww stayed prefix normal")
+                raise Counterexample(w, "ww stayed prefix normal")
             if is_prefix_normal_palindrome(w + one + w):
-                return _fail("ww-w0w-1ww1", lines, w, "w1w stayed prefix normal")
+                raise Counterexample(w, "w1w stayed prefix normal")
             if n >= 3 and is_prefix_normal_palindrome(w + zero + w):
                 k = 0
                 while w[k + 1] == 1:
                     k += 1
                 if not (k + 2 <= n and w[k + 1] == 0 and w[k + 2] == 1):
-                    return _fail("ww-w0w-1ww1", lines, w, "w0w without the single-zero shape")
+                    raise Counterexample(w, "w0w without the single-zero shape")
             if is_prefix_normal_palindrome(one + w + w + one):
                 if not (w[1] == 1 and n >= 2 and w[2] == 0):
-                    return _fail("ww-w0w-1ww1", lines, w, "1ww1 without a 10 prefix")
-        lines.append(f"PASS n={n}")
-    return VerifyReport("ww-w0w-1ww1", True, lines)
+                    raise Counterexample(w, "1ww1 without a 10 prefix")
+        yield f"PASS n={n}"
 
 
-def check_counting_identity(n_max: int) -> VerifyReport:
+@suite("counting-identity", "class counts grow by collapse classes minus one")
+def check_counting_identity(n_max: int):
     """Classes at n + 1 = classes at n + collapse classes at n - 1."""
-    lines = []
     levels = [level for _, level in iter_lr_levels(n_max + 1)]
     for n in range(1, n_max + 1):
         groups = {prepend_one_profile(bits, n) for bits in levels[n]}
         expected = len(levels[n]) + len(groups) - 1
         if len(levels[n + 1]) != expected:
-            return VerifyReport(
-                "counting-identity", False, lines,
-                counterexample=f"counterexample n={n} (got {len(levels[n + 1])}, expected {expected})",
-            )
-        lines.append(f"PASS n={n} ({len(levels[n])} + {len(groups)} - 1 = {expected})")
-    return VerifyReport("counting-identity", True, lines)
+            raise Counterexample(f"n={n}", f"got {len(levels[n + 1])}, expected {expected}")
+        yield f"PASS n={n} ({len(levels[n])} + {len(groups)} - 1 = {expected})"
 
 
-def check_palupperbound(n_max: int) -> VerifyReport:
+@suite("palupperbound", "doubling bound, published and corrected forms")
+def check_palupperbound(n_max: int):
     """Published doubling bound versus the corrected one.
 
     The published form 2*classes(n) - pal(n) undercounts for small n;
     such lengths are FLAGGED and only the corrected form
     2*classes(n) - (pal(n) - 1) gates the result.
     """
-    lines = []
     for n, actual, b in bounds_by_length(n_max):
         paper, corrected = b.upper_remark_paper, b.upper_remark_corrected
         if actual > corrected:
-            return VerifyReport(
-                "palupperbound", False, lines,
-                counterexample=f"counterexample n={n} (corrected bound {corrected} below {actual})",
-            )
+            raise Counterexample(f"n={n}", f"corrected bound {corrected} below {actual}")
         if actual > paper:
-            lines.append(f"FLAGGED n={n} paper-form bound {paper} below actual {actual}; corrected {corrected} holds")
+            yield f"FLAGGED n={n} paper-form bound {paper} below actual {actual}; corrected {corrected} holds"
         else:
-            lines.append(f"PASS n={n} paper-form {paper} and corrected {corrected} hold ({actual})")
-    return VerifyReport("palupperbound", True, lines)
-
-
-CHECKS = {
-    "palchar": (check_palchar, "palindrome test by definition equals the profile-mirror test"),
-    "collapstheo": (check_collapstheo, "band-search collapse classes equal the definitional grouping"),
-    "collapsindex": (check_collapsindex, "palindromic-distance bound dominates collapse-class sizes"),
-    "palcol": (check_palcol, "palindrome-count bracket around the next class count"),
-    "notpal": (check_notpal, "palindromes extend by appending 1, never by prepending"),
-    "symminf": (check_symminf, "1-prepend profile changes appear at mirror positions"),
-    "leastsuffix": (check_leastsuffix, "unique canonical members, maximum reversed onto minimum"),
-    "corlol": (check_corlol, "singleton classes are exactly the prefix normal palindromes"),
-    "falsecollapse": (check_falsecollapse, "mixed prepends overlap only at the all-zeros pair"),
-    "smallsum": (check_smallsum, "extenders dominate their class profiles"),
-    "lexsmall": (check_lexsmall, "the minimum of each class is the only extending member"),
-    "pchar": (check_pchar, "least representatives satisfy the profile shape inequalities"),
-    "ww-w0w-1ww1": (check_ww_family, "doubled-palindrome exclusions"),
-    "counting-identity": (check_counting_identity, "class counts grow by collapse classes minus one"),
-    "palupperbound": (check_palupperbound, "doubling bound, published and corrected forms"),
-}
+            yield f"PASS n={n} paper-form {paper} and corrected {corrected} hold ({actual})"

@@ -36,10 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
+from .limits import UsageError
+
 Profile = tuple[int, ...]
 
 
-class WordParseError(ValueError):
+class WordParseError(UsageError):
     """Raised when input text contains a letter other than '0' or '1'."""
 
 

@@ -313,6 +313,17 @@ class TestJpm:
         code, _, err = run(["jpm", "1101", "--query", "9,1"])
         assert code == 2
 
+    def test_internal_error_is_not_a_usage_error(self, monkeypatch):
+        # a plain ValueError from inside pnlab is a bug, reported with its traceback
+        def broken(w):
+            raise ValueError("broken index")
+
+        monkeypatch.setattr(pnlab.jpm, "build_index", broken)
+        code, out, err = run(["jpm", "1101", "--query", "2,1"])
+        assert (code, out) == (4, "")
+        assert err.startswith("internal error:\n")
+        assert "Traceback" in err and "ValueError: broken index" in err
+
     def test_malformed_query(self):
         with pytest.raises(SystemExit) as exc:
             run(["jpm", "1101", "--query", "nope"])

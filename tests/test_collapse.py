@@ -14,6 +14,7 @@ from pnlab.collapse import (
     extends_to_lr,
     extension_critical,
     index_bounds,
+    iter_collapse_classes,
     lower_band_word,
     palindromic_distance,
     palindromic_prefix_length,
@@ -179,13 +180,17 @@ class TestClasses:
         assert len(collapse_classes(4)) == 7
         with pytest.raises(ValueError, match="unknown engine"):
             collapse_classes(3, "nope")
+        with pytest.raises(ValueError, match="unknown engine"):
+            next(iter_collapse_classes(3, "nope"))
 
     def test_engines_and_oracle_agree(self):
-        for n in range(1, 11):
+        walks = zip(iter_collapse_classes(10, engine="brute"), iter_collapse_classes(10, engine="band"))
+        for n, ((_, brute_walk), (_, band_walk)) in enumerate(walks):
             brute = [tuple(map(str, c.members)) for c in collapse_classes(n, engine="brute")]
             band = [tuple(map(str, c.members)) for c in collapse_classes(n, engine="band")]
             reference = [tuple(map(str, g)) for g in oracle.brute_collapse_partition(n)]
             assert brute == band == reference
+            assert brute_walk == band_walk == collapse_classes(n)
 
     def test_one_class_matches_partition(self):
         for n in range(0, 9):

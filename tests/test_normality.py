@@ -1,7 +1,7 @@
 import pytest
 
 from pnlab import oracle
-from pnlab.collapse import collapse_class, collapse_classes
+from pnlab.collapse import collapse_class, collapse_classes, iter_collapse_classes
 from pnlab.limits import (
     LimitExceededError,
     max_palindrome_length,
@@ -16,6 +16,7 @@ from pnlab.normality import (
     is_least_representative,
     is_prefix_normal,
     is_suffix_normal,
+    iter_class_partitions,
     least_representative,
     lr_level,
     pn_equivalent,
@@ -147,6 +148,9 @@ class TestEnumeration:
             pytest.param(lambda n: collapse_class(Word(n, 0)), max_word_length, id="collapse_class"),
             pytest.param(lambda n: class_members(Word(n, 0)), max_word_length, id="class_members"),
             pytest.param(class_partition, max_partition_length, id="class_partition"),
+            pytest.param(lambda n: list(iter_collapse_classes(n)), max_word_length, id="iter_collapse_brute"),
+            pytest.param(lambda n: list(iter_collapse_classes(n, "band")), max_word_length, id="iter_collapse_band"),
+            pytest.param(lambda n: list(iter_class_partitions(n)), max_partition_length, id="iter_class_partitions"),
             pytest.param(count_prefix_normal_palindromes, max_palindrome_length, id="count_pnpal"),
             pytest.param(enumerate_prefix_normal_palindromes, max_palindrome_length, id="enumerate_pnpal"),
         ],
@@ -177,8 +181,9 @@ class TestPartition:
         assert len(class_partition(6).classes) == 23
 
     def test_matches_oracle(self):
-        for n in range(0, 9):
+        for n, walked in zip(range(0, 9), iter_class_partitions(8, materialize=True)):
             mine = class_partition(n, materialize=True)
+            assert walked == mine
             brute = oracle.brute_class_partition(n)
             assert set(mine.classes) == set(brute)
             for sig, members in brute.items():

@@ -2,6 +2,8 @@
 
 import pytest
 
+from pnlab import verify
+from pnlab.limits import LimitExceededError
 from pnlab.verify import CHECKS
 
 
@@ -25,6 +27,7 @@ from pnlab.verify import CHECKS
 )
 def test_suite_passes(name, n_max):
     report = CHECKS[name][0](n_max)
+    assert report.name == name
     assert report.ok, report.counterexample
     assert report.lines
     assert all(line.startswith("PASS") for line in report.lines)
@@ -50,3 +53,23 @@ def test_every_registered_check_has_a_description():
     for name, (checker, description) in CHECKS.items():
         assert callable(checker)
         assert description
+    module_checks = {getattr(verify, name) for name in dir(verify) if name.startswith("check_")}
+    assert module_checks == {checker for checker, _ in CHECKS.values()}
+
+
+@pytest.mark.parametrize(
+    "name,cap,kind",
+    [
+        ("smallsum", "0", "collapse partition"),
+        ("lexsmall", "0", "collapse partition"),
+        ("collapstheo", "0", "collapse partition"),
+        ("collapsindex", "0", "collapse partition"),
+        ("leastsuffix", "4", "partition"),
+        ("corlol", "4", "partition"),
+    ],
+)
+def test_over_cap_suite_fails_before_any_work(monkeypatch, name, cap, kind):
+    # each suite's walk checks n_max itself, not the first length past the cap
+    monkeypatch.setenv("PNLAB_MAX_N", cap)
+    with pytest.raises(LimitExceededError, match=f"^{kind} at length 7 exceeds the limit of 0$"):
+        CHECKS[name][0](7)
