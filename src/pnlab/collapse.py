@@ -10,8 +10,8 @@ profiles of all other members pointwise.
 Classes can be computed two ways:
 
 * engine "brute": group least representatives by the profile after
-  prepending 1 (the defining property, read off the suffix counts in
-  O(n) by `prepend_one_profile`).
+  prepending 1 (the defining property, read off the prefix and suffix
+  counts in O(n) by `normality.prepend_one_profile`).
 * engine "band": for each extender, derive the band of profiles its
   collapsers may have.  The band's top is the extender's own profile;
   its bottom starts from the word obtained by rotating a 1 in at the
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 from .limits import UsageError, check_length
 from .normality import (
@@ -37,9 +36,10 @@ from .normality import (
     is_suffix_normal,
     iter_lr_levels,
     lr_level,
+    prepend_one_profile,
     profile_increments_word,
 )
-from .words import Profile, Word, is_unit_step, letters, max_ones
+from .words import Profile, Word, is_unit_step, max_ones
 
 
 def collapses(w: Word, v: Word) -> bool:
@@ -119,7 +119,7 @@ class BandSpec:
 
     upper: Profile
     lower: Profile
-    free_positions: frozenset[int]
+    free_positions: frozenset[int]  # i of each open mirror unit {i, n-i+1}, odd middle included
 
 
 def band_spec(w: Word) -> BandSpec:
@@ -127,7 +127,7 @@ def band_spec(w: Word) -> BandSpec:
     # lower_band_word validates w, and its word always collapses with w
     lower = _lift(upper, max_ones(lower_band_word(w)))
     n = len(w)
-    free = frozenset(i for i in range(1, n // 2 + 1) if lower[i] != upper[i])
+    free = frozenset(i for i in range(1, (n + 1) // 2 + 1) if lower[i] != upper[i])
     return BandSpec(upper=upper, lower=lower, free_positions=free)
 
 
@@ -160,12 +160,7 @@ def candidate_collapsers(w: Word) -> list[Word]:
     n = len(w)
     spec = band_spec(w)
     target = prepend_one_profile(w.bits, n)
-
-    units: list[tuple[int, ...]] = []
-    for i in range(1, (n + 1) // 2 + 1):
-        j = n - i + 1
-        if spec.lower[i] != spec.upper[i]:
-            units.append((i,) if i == j else (i, j))
+    units = [{i, n - i + 1} for i in sorted(spec.free_positions)]
 
     found: list[Word] = []
     for mask in range(1, 1 << len(units)):
@@ -183,17 +178,6 @@ def candidate_collapsers(w: Word) -> list[Word]:
     # mask order is not word order: four-member classes come out unsorted from n = 9
     found.sort()
     return found
-
-
-def prepend_one_profile(bits: int, n: int) -> Profile:
-    """max_ones(1·w) for the least representative w = Word(n, bits): the collapse key.
-
-    w's profile is its suffix counts s, and 1·w adds the windows starting at
-    the new letter, so f(i) = max(s(i), p(i-1) + 1) for i <= n and f(n+1) = s(n) + 1.
-    """
-    x = letters(bits, n)
-    s = accumulate(x[::-1])
-    return (0, *map(max, s, accumulate(x, initial=1)), bits.bit_count() + 1)
 
 
 @dataclass(frozen=True)
@@ -282,17 +266,12 @@ def recursive_lr_step(lrs: list[Word]) -> list[Word]:
             raise ValueError(f"duplicate input word {w}")
         seen.add(w.bits)
         _require_lr(w)
-    ordered = sorted(lrs)
-    extender_of: dict[Profile, int] = {}
-    for w in ordered:
-        sig = prepend_one_profile(w.bits, n)
-        if sig not in extender_of:
-            extender_of[sig] = w.bits
-    out = [w.prepend(0) for w in ordered]
+    level = sorted(seen)
+    out = [Word(n, bits).prepend(0) for bits in level]
     out += [
-        Word(n, bits).prepend(1)
-        for bits in sorted(extender_of.values())
-        if not (n >= 1 and bits == 0)
+        c.extender.prepend(1)
+        for c in _level_classes(n, "brute", level)
+        if not (n >= 1 and c.extender.bits == 0)
     ]
     return out
 

@@ -13,16 +13,21 @@ to least representatives of length n: prepending 0 always works, and
 prepending 1 works exactly when every prefix strictly under-counts the
 suffix of the next length (`p(k) < s(k+1)` for all k).  The level
 iterator below builds length after length on that rule, which reaches
-lengths around 24 without touching the full 2^n space.
+lengths around 24 without touching the full 2^n space.  Both questions
+about 1·w live here and read the same running counts p and s of w:
+`prepend_one_profile` is its profile (the collapse key), and
+`extends_by_one` asks that this profile equal s on 1..n.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import lt
 
 from .limits import check_length, max_partition_length
-from .words import Profile, Word, max_ones, prefix_ones, profile_text, suffix_ones
+from .words import Profile, Word, letters, max_ones, prefix_ones, profile_text, suffix_ones
 
 
 def is_prefix_normal(w: Word) -> bool:
@@ -93,15 +98,28 @@ def class_members(w: Word) -> list[Word]:
 # A level is the increasing list of packed least representatives of one length.
 # Their profile is their suffix counts s, so the bits are the whole state.  A 0-prepend
 # keeps the value; a 1-prepend sets bit m, kept when p(i) < s(i+1) for all i < m.
+# Both 1-prepend functions read p and s as running counts of the same letters.
+
+
+def prepend_one_profile(bits: int, n: int) -> Profile:
+    """max_ones(1·w) for the least representative w = Word(n, bits): the collapse key.
+
+    w's profile is its suffix counts s, and 1·w adds the windows starting at
+    the new letter, so f(i) = max(s(i), p(i-1) + 1) for i <= n and f(n+1) = s(n) + 1.
+    """
+    x = letters(bits, n)
+    return (0, *map(max, accumulate(x[::-1]), accumulate(x, initial=1)), bits.bit_count() + 1)
 
 
 def extends_by_one(bits: int, m: int) -> bool:
     """Is 1·w a least representative, for the least representative w = Word(m, bits)?
 
-    By the lexsmall theorem this holds for exactly one member of every
-    collapse class except the all-zeros one.
+    It is when `prepend_one_profile` leaves the profile unchanged on 1..m,
+    that is p(i) < s(i+1) for all i < m.  By the lexsmall theorem this holds
+    for exactly one member of every collapse class except the all-zeros one.
     """
-    return all((bits >> (m - i)).bit_count() < (bits & (2 << i) - 1).bit_count() for i in range(m))
+    x = letters(bits, m)
+    return all(map(lt, accumulate(x, initial=0), accumulate(x[::-1])))
 
 
 def iter_lr_levels(n_max: int, limit: int | None = None):

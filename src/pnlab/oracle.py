@@ -12,6 +12,7 @@ from .limits import LimitExceededError, UsageError
 from .words import Profile, Word
 
 BRUTE_LIMIT = 16
+BRUTE_COLLAPSE_LIMIT = 14
 
 
 def _count_ones(w: Word, i: int, j: int) -> int:
@@ -60,28 +61,28 @@ def brute_class_members(w: Word) -> list[Word]:
     return [v for v in all_words(len(w)) if brute_max_ones(v) == target]
 
 
-def brute_class_partition(n: int, limit: int = BRUTE_LIMIT) -> dict[Profile, list[Word]]:
+def brute_class_partition(n: int) -> dict[Profile, list[Word]]:
     """Partition all 2^n words by their max-ones profile."""
-    if n > limit:
-        raise LimitExceededError(f"brute partition capped at n = {limit}")
+    if n > BRUTE_LIMIT:
+        raise LimitExceededError(f"brute partition capped at n = {BRUTE_LIMIT}")
     classes: dict[Profile, list[Word]] = {}
     for v in all_words(n):
         classes.setdefault(brute_max_ones(v), []).append(v)
     return classes
 
 
-def brute_least_representatives(n: int, limit: int = BRUTE_LIMIT) -> list[Word]:
-    if n > limit:
-        raise LimitExceededError(f"brute filter capped at n = {limit}")
+def brute_least_representatives(n: int) -> list[Word]:
+    if n > BRUTE_LIMIT:
+        raise LimitExceededError(f"brute filter capped at n = {BRUTE_LIMIT}")
     return [v for v in all_words(n) if brute_is_suffix_normal(v)]
 
 
-def brute_collapse_partition(n: int, limit: int = 14) -> list[list[Word]]:
+def brute_collapse_partition(n: int) -> list[list[Word]]:
     """Group suffix normal words by the profile obtained after prepending 1."""
-    if n > limit:
-        raise LimitExceededError(f"brute collapse partition capped at n = {limit}")
+    if n > BRUTE_COLLAPSE_LIMIT:
+        raise LimitExceededError(f"brute collapse partition capped at n = {BRUTE_COLLAPSE_LIMIT}")
     groups: dict[Profile, list[Word]] = {}
-    for v in brute_least_representatives(n, limit=limit):
+    for v in brute_least_representatives(n):
         groups.setdefault(brute_max_ones(v.prepend(1)), []).append(v)
     return sorted(groups.values(), key=lambda members: members[0].bits)
 

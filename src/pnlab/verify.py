@@ -24,7 +24,6 @@ from .collapse import (
     class_size_bound,
     index_bounds,
     iter_collapse_classes,
-    prepend_one_profile,
     validate_lr_profile,
 )
 from .normality import (
@@ -32,6 +31,7 @@ from .normality import (
     is_suffix_normal,
     iter_class_partitions,
     iter_lr_levels,
+    prepend_one_profile,
 )
 from .palindromes import (
     is_prefix_normal_palindrome,

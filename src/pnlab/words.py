@@ -209,11 +209,7 @@ def reverse_progress(f: Profile) -> Profile:
     reading f(-1) = f(0) = 0.  Equivalently g(k) = f(n) - f(k-1).
     """
     n = len(f) - 1
-    out = [f[n]]
-    for k in range(1, n + 1):
-        step = f[k - 1] - (f[k - 2] if k >= 2 else 0)
-        out.append(out[-1] - step)
-    return tuple(out)
+    return (f[n], *(f[n] - v for v in f[:-1]))
 
 
 def max_ones_sum(f: Profile) -> int:

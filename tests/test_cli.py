@@ -188,6 +188,8 @@ class TestWord:
         code, out, _ = run(["word", "0011", "--collapse"])
         assert code == 0
         assert out == "extension_critical=false class=0011,1001\n"
+        # the empty word's class is itself, printed as the empty string like its word=
+        assert run(["word", "", "--collapse"]) == (0, "extension_critical=false class=\n", "")
         assert run(["word", "0110", "--collapse"]) == (0, "n/a (not a least representative)\n", "")
 
     def test_collapse_matches_collapse_classes(self):

@@ -22,8 +22,14 @@ from pnlab.collapse import (
     recursive_lr_step,
     validate_lr_profile,
 )
-from pnlab.normality import enumerate_least_representatives, lr_level, profile_increments_word
-from pnlab.words import Word, max_ones, max_ones_sum, parse_word
+from pnlab.normality import (
+    enumerate_least_representatives,
+    extends_by_one,
+    is_suffix_normal,
+    lr_level,
+    profile_increments_word,
+)
+from pnlab.words import Word, max_ones, max_ones_sum, parse_word, suffix_ones
 
 # golden profile rows for the length-17 worked example
 F_W = (0, 1, 2, 3, 4, 5, 5, 6, 7, 8, 8, 8, 9, 10, 10, 11, 12, 13)
@@ -70,8 +76,6 @@ class TestExtension:
             extends_to_lr(parse_word("110101"))
 
     def test_matches_direct_check(self):
-        from pnlab.normality import is_suffix_normal
-
         for n in range(1, 12):
             for w in enumerate_least_representatives(n):
                 assert extends_to_lr(w) == is_suffix_normal(w.prepend(1))
@@ -88,7 +92,12 @@ class TestPrependOneProfile:
                 assert [Word(n, bits) for bits in level] == oracle.brute_least_representatives(n)
             for bits in level:
                 w = Word(n, bits)
-                assert prepend_one_profile(w.bits, n) == max_ones(w.prepend(1))
+                key = prepend_one_profile(w.bits, n)
+                assert key == max_ones(w.prepend(1))
+                # the 1-prepend test is the key left unchanged on 1..n
+                extends = extends_by_one(bits, n)
+                assert extends == is_suffix_normal(Word(n + 1, bits | 1 << n))
+                assert extends == (key[1 : n + 1] == suffix_ones(w)[1:])
 
 
 class TestBand:
@@ -133,7 +142,10 @@ class TestBand:
                     assert spec.lower[1] == spec.upper[1]
                 diffs = {i for i in range(1, n + 1) if spec.lower[i] != spec.upper[i]}
                 assert {n - i + 1 for i in diffs} == diffs
-                assert spec.free_positions == {i for i in diffs if i <= n // 2}
+                # one entry per open mirror unit {i, n-i+1}, the odd middle included
+                assert spec.free_positions == {i for i in diffs if i <= (n + 1) // 2}
+        # 101 collapses with 011 by lowering f(2), the middle of length 3
+        assert band_spec(parse_word("011")).free_positions == {2}
 
     def test_band_contains_all_collapser_profiles(self):
         for n in range(1, 12):
