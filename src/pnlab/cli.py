@@ -198,26 +198,14 @@ def cmd_enumerate(args) -> int:
 def cmd_collapse_classes(args) -> int:
     if args.oracle:
         classes = [
-            collapse.CollapseClass(n=args.n, extender=group[0], members=tuple(group))
+            collapse.CollapseClass(args.n, tuple(v.bits for v in group))
             for group in oracle.brute_collapse_partition(args.n)
         ]
     else:
         classes = collapse.collapse_classes(args.n, engine=args.engine)
     for cls in classes:
-        if args.n >= 1 and cls.extender.bits == 0:
-            bound = None
-        else:
-            bound = collapse.class_size_bound(cls.extender)
-        print(
-            json.dumps(
-                {
-                    "extender": str(cls.extender),
-                    "members": [str(v) for v in cls.members],
-                    "size": cls.size,
-                    "bound": bound,
-                }
-            )
-        )
+        members = [str(v) for v in cls.members]  # extender first
+        print(json.dumps({"extender": members[0], "members": members, "size": cls.size, "bound": cls.bound}))
     return 0
 
 

@@ -23,6 +23,8 @@ Classes can be computed two ways:
   after a direct collapse check.
 
 Both engines must agree; the test suites compare them exhaustively.
+Either way a class is a `CollapseClass`: its members as packed ints,
+extender first, with its size bound read off the extender.
 """
 
 from __future__ import annotations
@@ -180,15 +182,31 @@ def candidate_collapsers(w: Word) -> list[Word]:
     return found
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollapseClass:
+    """One collapse class of length n: its members as packed ints, extender first."""
+
     n: int
-    extender: Word
-    members: tuple[Word, ...]
+    packed: tuple[int, ...]
+
+    @property
+    def extender(self) -> Word:
+        return Word(self.n, self.packed[0])
+
+    @property
+    def members(self) -> tuple[Word, ...]:
+        return tuple(Word(self.n, bits) for bits in self.packed)
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.packed)
+
+    @property
+    def bound(self) -> int | None:
+        """`class_size_bound` of the extender; None for the all-zeros class at n >= 1, which has no band."""
+        if self.packed[0] == 0 and self.n >= 1:
+            return None
+        return _size_bound(self.packed[0], self.n)
 
 
 def collapse_classes(n: int, engine: str = "brute") -> list[CollapseClass]:
@@ -208,6 +226,7 @@ def iter_collapse_classes(n_max: int, engine: str = "brute"):
 def collapse_class(w: Word) -> tuple[Word, ...]:
     """w's collapse class: the least representatives of length |w| with w's 1-prepend profile."""
     n = check_length(len(w), kind="collapse partition")
+    _require_lr(w)
     key = prepend_one_profile(w.bits, n)
     return tuple(Word(n, bits) for bits in lr_level(n) if prepend_one_profile(bits, n) == key)
 
@@ -223,26 +242,21 @@ def _level_classes(n: int, engine: str, level: list[int] | None = None) -> list[
         groups: dict[Profile, list[int]] = {}
         for bits in level:
             groups.setdefault(prepend_one_profile(bits, n), []).append(bits)
-        return [
-            CollapseClass(n=n, extender=Word(n, vals[0]), members=tuple(Word(n, v) for v in vals))
-            for vals in groups.values()
-        ]
+        return [CollapseClass(n, tuple(vals)) for vals in groups.values()]
     lrs = [Word(n, bits) for bits in level]
     claimed: set[int] = set()
     classes: list[CollapseClass] = []
     for w in lrs:
         if w.bits in claimed:
             continue
-        if w.bits == 0:
-            members = (w,)
-        else:
-            others = candidate_collapsers(w)
-            for v in others:
+        packed = [w.bits]
+        if w.bits != 0:
+            for v in candidate_collapsers(w):
                 if v.bits in claimed or not w < v:
                     raise RuntimeError(f"band engine produced an out-of-order collapser {v}")
-            members = (w, *others)
-        claimed.update(v.bits for v in members)
-        classes.append(CollapseClass(n=n, extender=w, members=members))
+                packed.append(v.bits)
+        claimed.update(packed)
+        classes.append(CollapseClass(n, tuple(packed)))
     if len(claimed) != len(lrs):
         raise RuntimeError("band engine failed to cover every least representative")
     return classes
@@ -305,14 +319,20 @@ def class_size_bound(w: Word) -> int:
 
     pd is the palindromic distance of w concatenated with the reversed
     band-bottom tail w[n-1..1]·1; each mirror pair of openings in the
-    band doubles the candidate count at most once.
+    band doubles the candidate count at most once.  The reversed second
+    half of that 2n-letter word is 1·w[1..n-1], so
+    pd(w·w[n-1..1]·1) = the number of letter changes in 1·w.
     """
     if not extends_to_lr(w):
         raise ValueError(f"{w} does not extend to a least representative")
-    n = len(w)
-    tail = w.slice(1, n - 1).reverse().append(1)
-    pd = palindromic_distance(w + tail)
-    return 1 << ((pd + 1) // 2)
+    return _size_bound(w.bits, len(w))
+
+
+def _size_bound(bits: int, n: int) -> int:
+    """2^ceil(c/2), c the letter changes in 1·w: w against 1·w[1..n-1], letter by letter.
+    `1 << n >> 1` is the leading 1, and 0 at n = 0, where the bound is 1."""
+    changes = (bits ^ (bits >> 1 | 1 << n >> 1)).bit_count()
+    return 1 << ((changes + 1) // 2)
 
 
 @dataclass(frozen=True)

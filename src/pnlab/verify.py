@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 from functools import wraps
 from itertools import islice
 
-from .collapse import (
-    class_size_bound,
-    index_bounds,
-    iter_collapse_classes,
-    validate_lr_profile,
-)
+from .collapse import index_bounds, iter_collapse_classes, validate_lr_profile
 from .normality import (
     count_least_representatives,
     is_suffix_normal,
@@ -218,9 +213,9 @@ def check_collapsindex(n_max: int):
     for n, classes in islice(iter_collapse_classes(n_max), 1, None):
         worst = 1
         for cls in classes:
-            if cls.extender.bits == 0:
+            bound = cls.bound
+            if bound is None:
                 continue
-            bound = class_size_bound(cls.extender)
             if cls.size > bound:
                 raise Counterexample(cls.extender, f"size {cls.size} above bound {bound}")
             worst = max(worst, cls.size)

@@ -74,6 +74,9 @@ class TestExtension:
     def test_requires_canonical_input(self):
         with pytest.raises(ValueError):
             extends_to_lr(parse_word("110101"))
+        # a class always holds its word, so a word outside every class is refused
+        with pytest.raises(ValueError, match="not a least representative"):
+            collapse_class(parse_word("10"))
 
     def test_matches_direct_check(self):
         for n in range(1, 12):
@@ -277,11 +280,18 @@ class TestSizeBound:
             class_size_bound(parse_word("1001"))
 
     def test_dominates_class_sizes(self):
-        for n in range(1, 13):
+        # the closed form (letter changes of 1·w) against the definition:
+        # palindromic distance of w·w[n-1..1]·1, for every extender
+        assert collapse_classes(0)[0].bound == 1
+        for n in range(1, 15):
             for cls in collapse_classes(n):
-                if cls.extender.bits == 0:
+                w = cls.extender
+                if w.bits == 0:
+                    assert cls.bound is None
                     continue
-                assert cls.size <= class_size_bound(cls.extender)
+                pd = palindromic_distance(w + w.slice(1, n - 1).reverse().append(1))
+                assert cls.bound == class_size_bound(w) == 1 << ((pd + 1) // 2)
+                assert cls.size <= cls.bound
 
 
 class TestIndexBounds:
