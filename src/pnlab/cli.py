@@ -5,7 +5,7 @@ bounds, jpm.  Sequences print CSV with an "n,value" header, structured
 records print JSON lines, word reports print plain text.  Exit codes:
 0 success, 1 verification counterexample, 2 usage error, 3 enumeration
 limit exceeded, 4 internal error (a bug in pnlab; the traceback goes to
-stderr).  PNLAB_MAX_N overrides the enumeration limit.
+stderr).  PNLAB_MAX_N moves every cap.
 """
 
 from __future__ import annotations
@@ -38,9 +38,17 @@ JOBS_HELP = "ignored: every command runs in one process"
 
 def cmd_sequence(args) -> int:
     n_max = args.n_max
-    if args.name == "pn-count" and args.oracle:
-        check_length(n_max, oracle.BRUTE_LIMIT, kind="brute partition")
-        rows = ((n, len(oracle.brute_class_partition(n))) for n in range(n_max + 1))
+    if args.oracle:
+        # the oracle answers one length at a time, so its cap is checked here, before the header
+        cap = oracle.BRUTE_COLLAPSE_LIMIT if args.name == "collapse-classes" else oracle.BRUTE_LIMIT
+        check_length(n_max, cap, kind=f"brute {args.name}")
+        brute = {
+            "pn-count": lambda n: len(oracle.brute_class_partition(n)),
+            "npal": lambda n: len(oracle.brute_prefix_normal_palindromes(n)),
+            "collapse-classes": lambda n: len(oracle.brute_collapse_partition(n)),
+            "max-class-size": lambda n: max(map(len, oracle.brute_class_partition(n).values())),
+        }[args.name]
+        rows = ((n, brute(n)) for n in range(n_max + 1))
     elif args.name == "pn-count":
         rows = ((m, len(level)) for m, level in normality.iter_lr_levels(n_max))
     elif args.name == "npal":
@@ -51,7 +59,7 @@ def cmd_sequence(args) -> int:
         rows = ((m, sum(normality.extends_by_one(bits, m) for bits in level) + 1) for m, level in levels)
     else:
         rows = ((part.n, max(cls.size for cls in part)) for part in normality.iter_class_partitions(n_max))
-    # row 0 is never printed; taking it runs the walk's cap check, so an over-cap run prints nothing
+    # row 0 is never printed; taking it runs the fast walk's cap check, so an over-cap run prints nothing
     next(rows)
     print("n,value")
     for n, value in rows:
@@ -111,8 +119,12 @@ def _word_values(w: Word, keys: list[str], use_oracle: bool) -> dict[str, str]:
     def collapse_info() -> str:
         if f != s:
             return "n/a (not a least representative)"
-        critical = collapse.extension_critical(w)
-        members = collapse.collapse_class(w)
+        if use_oracle:
+            members = next(group for group in oracle.brute_collapse_partition(len(w)) if w in group)
+            critical = not oracle.brute_is_suffix_normal(w.prepend(1))
+        else:
+            members = collapse.collapse_class(w)
+            critical = collapse.extension_critical(w)
         return f"extension_critical={_bool_text(critical)} class={','.join(map(str, members))}"
 
     fields = {
@@ -140,9 +152,7 @@ def _word_values(w: Word, keys: list[str], use_oracle: bool) -> dict[str, str]:
 def cmd_word(args) -> int:
     w = parse_word(args.word)
     selected = [key for key in (*_WORD_FIELDS, "collapse") if getattr(args, key)]
-    if args.oracle and (args.npf or args.lr or not selected):
-        # the brute class scan behind npf and lr walks all 2^n words
-        check_length(len(w), oracle.BRUTE_LIMIT, kind="brute class scan")
+    # every value is computed before the first print, so an oracle over its cap prints nothing
     if selected:
         values = _word_values(w, selected, args.oracle)
         pairs = " ".join(f"{key}={values[key]}" for key in selected)
@@ -173,21 +183,15 @@ def cmd_enumerate(args) -> int:
         for line in part.to_jsonl():
             print(line)
         return 0
-    if args.pnpals:
-        if args.oracle:
-            check_length(n, oracle.BRUTE_LIMIT, kind="brute palindrome filter")
-            for w in oracle.all_words(n):
-                if w == w.reverse() and oracle.brute_is_prefix_normal(w):
-                    print(w)
-        else:
-            for w in palindromes.enumerate_prefix_normal_palindromes(n).words:
-                print(w)
-        return 0
-    if args.oracle:
-        for w in oracle.brute_least_representatives(n):
-            print(w)
-        return 0
-    for w in normality.enumerate_least_representatives(n):
+    if args.pnpals and args.oracle:
+        words = oracle.brute_prefix_normal_palindromes(n)
+    elif args.pnpals:
+        words = palindromes.enumerate_prefix_normal_palindromes(n).words
+    elif args.oracle:
+        words = oracle.brute_least_representatives(n)
+    else:
+        words = normality.enumerate_least_representatives(n)
+    for w in words:
         print(w)
     return 0
 

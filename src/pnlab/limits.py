@@ -3,9 +3,11 @@
 Word enumeration walks spaces that grow like 2^n, palindrome enumeration
 like 2^(n/2), so both are capped.  The default word cap of 24 keeps every
 run at desk scale; the environment variable PNLAB_MAX_N raises or lowers
-it.  The palindrome cap follows it with fixed headroom above; the cap of
-full-space operations, which call max_ones on every one of the 2^n words,
-follows it with fixed headroom below.
+it.  The palindrome cap follows it with fixed headroom above, but stays
+within twice the word cap: a palindrome of length n mirrors a least
+representative of length ceil(n/2), whose level must fit under the word
+cap.  The cap of full-space operations, which call max_ones on every one
+of the 2^n words, follows it with fixed headroom below.
 """
 
 import os
@@ -34,7 +36,7 @@ def max_word_length() -> int:
 
 
 def max_palindrome_length() -> int:
-    return max_word_length() + PALINDROME_HEADROOM
+    return min(max_word_length() + PALINDROME_HEADROOM, 2 * max_word_length())
 
 
 def max_partition_length() -> int:

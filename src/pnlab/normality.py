@@ -122,12 +122,10 @@ def extends_by_one(bits: int, m: int) -> bool:
     return all(map(lt, accumulate(x, initial=0), accumulate(x[::-1])))
 
 
-def iter_lr_levels(n_max: int, limit: int | None = None):
+def iter_lr_levels(n_max: int):
     """Yield (m, level) for m = 0..n_max; a level is the increasing list of
-    packed least representatives of length m.  The cap is the word cap unless
-    a limit is given: the palindrome layer builds its half-length levels under
-    the palindrome cap, so PNLAB_MAX_N=0 still serves `sequence npal 10`."""
-    check_length(n_max, limit)
+    packed least representatives of length m, up to the word cap."""
+    check_length(n_max)
     level = [0]
     yield 0, level
     for m in range(n_max):
@@ -135,9 +133,9 @@ def iter_lr_levels(n_max: int, limit: int | None = None):
         yield m + 1, level
 
 
-def lr_level(n: int, limit: int | None = None) -> list[int]:
+def lr_level(n: int) -> list[int]:
     level: list[int] = []
-    for _, level in iter_lr_levels(n, limit):
+    for _, level in iter_lr_levels(n):
         pass
     return level
 

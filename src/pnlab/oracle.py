@@ -8,7 +8,7 @@ from being obviously correct.
 
 from __future__ import annotations
 
-from .limits import LimitExceededError, UsageError
+from .limits import UsageError, check_length
 from .words import Profile, Word
 
 BRUTE_LIMIT = 16
@@ -50,7 +50,9 @@ def brute_is_suffix_normal(w: Word) -> bool:
 
 
 def all_words(n: int):
-    """All words of length n in lexicographic order."""
+    """All words of length n in lexicographic order.  Every 2^n scan here
+    starts from this one, so it checks n against BRUTE_LIMIT at the first `next`."""
+    check_length(n, BRUTE_LIMIT, kind="brute scan")
     for value in range(1 << n):
         yield Word(n, value)
 
@@ -63,8 +65,6 @@ def brute_class_members(w: Word) -> list[Word]:
 
 def brute_class_partition(n: int) -> dict[Profile, list[Word]]:
     """Partition all 2^n words by their max-ones profile."""
-    if n > BRUTE_LIMIT:
-        raise LimitExceededError(f"brute partition capped at n = {BRUTE_LIMIT}")
     classes: dict[Profile, list[Word]] = {}
     for v in all_words(n):
         classes.setdefault(brute_max_ones(v), []).append(v)
@@ -72,15 +72,17 @@ def brute_class_partition(n: int) -> dict[Profile, list[Word]]:
 
 
 def brute_least_representatives(n: int) -> list[Word]:
-    if n > BRUTE_LIMIT:
-        raise LimitExceededError(f"brute filter capped at n = {BRUTE_LIMIT}")
     return [v for v in all_words(n) if brute_is_suffix_normal(v)]
+
+
+def brute_prefix_normal_palindromes(n: int) -> list[Word]:
+    """Every word of length n that equals its reversal and is prefix normal."""
+    return [v for v in all_words(n) if v == v.reverse() and brute_is_prefix_normal(v)]
 
 
 def brute_collapse_partition(n: int) -> list[list[Word]]:
     """Group suffix normal words by the profile obtained after prepending 1."""
-    if n > BRUTE_COLLAPSE_LIMIT:
-        raise LimitExceededError(f"brute collapse partition capped at n = {BRUTE_COLLAPSE_LIMIT}")
+    check_length(n, BRUTE_COLLAPSE_LIMIT, kind="brute collapse partition")
     groups: dict[Profile, list[Word]] = {}
     for v in brute_least_representatives(n):
         groups.setdefault(brute_max_ones(v.prepend(1)), []).append(v)

@@ -73,9 +73,8 @@ def _palindromes_from_tails(n: int, tails: list[int]) -> tuple[Word, ...]:
 
 
 def _palindromes_of_length(n: int) -> tuple[Word, ...]:
-    cap = max_palindrome_length()
-    check_length(n, cap, kind="palindrome enumeration")
-    return _palindromes_from_tails(n, lr_level((n + 1) // 2, cap))
+    check_length(n, max_palindrome_length(), kind="palindrome enumeration")
+    return _palindromes_from_tails(n, lr_level((n + 1) // 2))
 
 
 def count_prefix_normal_palindromes(n: int) -> int:
@@ -94,9 +93,8 @@ def iter_prefix_normal_palindromes(n_max: int):
 
     Like any generator, it checks n_max against the cap at the first `next`.
     """
-    cap = max_palindrome_length()
-    check_length(n_max, cap, kind="palindrome enumeration")
-    for m, tails in iter_lr_levels((n_max + 1) // 2, cap):
+    check_length(n_max, max_palindrome_length(), kind="palindrome enumeration")
+    for m, tails in iter_lr_levels((n_max + 1) // 2):
         for n in (2 * m - 1, 2 * m):
             if 0 <= n <= n_max:
                 yield n, _palindromes_from_tails(n, tails)

@@ -84,6 +84,29 @@ class TestSequence:
         _, brute, _ = run(["sequence", "pn-count", "8", "--oracle"])
         assert fast == brute
 
+    @pytest.mark.parametrize(
+        "name,brute",
+        [
+            ("pn-count", "brute_class_partition"),
+            ("npal", "brute_prefix_normal_palindromes"),
+            ("collapse-classes", "brute_collapse_partition"),
+            ("max-class-size", "brute_class_partition"),
+        ],
+    )
+    def test_every_sequence_has_an_oracle(self, monkeypatch, name, brute):
+        calls = []
+        scan = getattr(oracle, brute)
+
+        def counted(n):
+            calls.append(n)
+            return scan(n)
+
+        monkeypatch.setattr(oracle, brute, counted)
+        fast = run(["sequence", name, "10"])
+        assert calls == []
+        assert run(["sequence", name, "10", "--oracle"]) == fast
+        assert calls == list(range(11))
+
     def test_unknown_name_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["sequence", "nonsense", "5"])
@@ -102,6 +125,9 @@ class TestSequence:
             ["npal", "40"],
             ["collapse-classes", "30"],
             ["max-class-size", "25"],
+            ["npal", "17", "--oracle"],
+            ["collapse-classes", "15", "--oracle"],
+            ["max-class-size", "17", "--oracle"],
         ],
     )
     def test_over_cap_prints_nothing(self, argv):
@@ -191,6 +217,18 @@ class TestWord:
         # the empty word's class is itself, printed as the empty string like its word=
         assert run(["word", "", "--collapse"]) == (0, "extension_critical=false class=\n", "")
         assert run(["word", "0110", "--collapse"]) == (0, "n/a (not a least representative)\n", "")
+
+    def test_collapse_oracle_matches(self):
+        for n in range(0, 9):
+            for w in pnlab.enumerate_least_representatives(n):
+                line = run(["word", str(w), "--collapse"])
+                assert run(["word", str(w), "--collapse", "--oracle"]) == line, w
+                assert line[1].startswith("extension_critical=")
+        # the oracle groups all least representatives of 15 letters: one over BRUTE_COLLAPSE_LIMIT
+        code, out, err = run(["word", "000000000000001", "--collapse", "--oracle"])
+        assert (code, out) == (3, "") and "exceeds the limit of 14" in err
+        not_lr = "n/a (not a least representative)\n"
+        assert run(["word", "100000000000000", "--collapse", "--oracle"]) == (0, not_lr, "")
 
     def test_collapse_matches_collapse_classes(self):
         for n in range(0, 11):
@@ -382,8 +420,8 @@ class TestEnvLimit:
         assert run(["enumerate", "12"])[0] == 0
 
     def test_palindrome_cap_is_above_word_cap(self, monkeypatch):
-        # the half-length levels are built under the palindrome cap, not the word cap of 0
-        monkeypatch.setenv("PNLAB_MAX_N", "0")
+        # palindrome cap min(5 + 10, 2 * 5) = 10: the half levels, of length 5 at most, fit the word cap
+        monkeypatch.setenv("PNLAB_MAX_N", "5")
         assert run(["sequence", "npal", "10"]) == (
             0, "n,value\n1,2\n2,2\n3,3\n4,3\n5,5\n6,4\n7,8\n8,7\n9,12\n10,11\n", ""
         )
@@ -395,6 +433,24 @@ class TestEnvLimit:
         ]
         code, out, err = run(["sequence", "npal", "11"])
         assert code == 3 and out == "" and "limit of 10" in err
+
+    @pytest.mark.parametrize(
+        "argv,cap",
+        [
+            pytest.param(["enumerate", "17", "--oracle"], 16, id="enumerate"),
+            pytest.param(["enumerate", "17", "--pnpals", "--oracle"], 16, id="enumerate-pnpals"),
+            pytest.param(["enumerate", "17", "--classes", "--oracle"], 16, id="enumerate-classes"),
+            pytest.param(["word", "10110111011101110", "--oracle"], 16, id="word"),
+            pytest.param(["sequence", "pn-count", "17", "--oracle"], 16, id="sequence-pn-count"),
+            pytest.param(["collapse-classes", "15", "--oracle"], 14, id="collapse-classes"),
+        ],
+    )
+    def test_oracle_caps(self, monkeypatch, argv, cap):
+        # the oracle's caps are fixed constants, which PNLAB_MAX_N does not move
+        monkeypatch.setenv("PNLAB_MAX_N", "30")
+        code, out, err = run(argv)
+        assert (code, out) == (3, "")
+        assert f"exceeds the limit of {cap}" in err
 
     def test_partition_cap(self, monkeypatch):
         monkeypatch.setenv("PNLAB_MAX_N", "8")

@@ -168,11 +168,17 @@ class TestEnumeration:
         ],
     )
     def test_cap_follows_environment(self, monkeypatch, build, cap):
-        # PNLAB_MAX_N is the only way to move a cap: word 6, partition 2, palindrome 16
+        # PNLAB_MAX_N is the only way to move a cap: word 6, partition 2, palindrome 12
         monkeypatch.setenv("PNLAB_MAX_N", "6")
         build(cap())
         with pytest.raises(LimitExceededError):
             build(cap() + 1)
+
+    @pytest.mark.parametrize("n", [0, 5, 9, 10, 24])
+    def test_palindrome_cap_keeps_half_levels_under_word_cap(self, monkeypatch, n):
+        monkeypatch.setenv("PNLAB_MAX_N", str(n))
+        assert max_palindrome_length() == min(n + 10, 2 * n)
+        assert (max_palindrome_length() + 1) // 2 <= max_word_length()
 
     def test_prepends(self):
         # prepending 0 preserves canonical words, non-canonical words stay lost

@@ -1,7 +1,7 @@
 import pytest
 
 from pnlab import oracle
-from pnlab.limits import LimitExceededError
+from pnlab.limits import LimitExceededError, UsageError
 from pnlab.words import parse_word
 
 
@@ -59,6 +59,18 @@ def test_limits_raise():
         oracle.brute_collapse_partition(15)
     with pytest.raises(LimitExceededError):
         oracle.brute_least_representatives(17)
+    with pytest.raises(LimitExceededError):
+        oracle.brute_prefix_normal_palindromes(17)
+
+
+def test_all_words_checks_its_length():
+    # every 2^n scan of the oracle starts here; like any generator, it checks at the first `next`
+    words = oracle.all_words(17)
+    with pytest.raises(LimitExceededError, match="exceeds the limit of 16"):
+        next(words)
+    with pytest.raises(UsageError):
+        next(oracle.all_words(-1))
+    assert [str(w) for w in oracle.all_words(2)] == ["00", "01", "10", "11"]
 
 
 def test_normality_checks():

@@ -101,6 +101,7 @@ class TestEnumeration:
                 if w == w.reverse() and oracle.brute_is_prefix_normal(w)
             ]
             assert list(enumerate_prefix_normal_palindromes(n).words) == brute, n
+            assert oracle.brute_prefix_normal_palindromes(n) == brute, n
 
     def test_walk_matches_per_length_enumeration(self):
         walked = list(iter_prefix_normal_palindromes(24))
@@ -109,7 +110,7 @@ class TestEnumeration:
     def test_walk_checks_length_before_yielding(self, monkeypatch):
         with pytest.raises(LimitExceededError):
             next(iter_prefix_normal_palindromes(35))
-        monkeypatch.setenv("PNLAB_MAX_N", "0")
+        monkeypatch.setenv("PNLAB_MAX_N", "5")
         assert [n for n, _ in iter_prefix_normal_palindromes(10)] == list(range(11))
         with pytest.raises(LimitExceededError):
             next(iter_prefix_normal_palindromes(11))
