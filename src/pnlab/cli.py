@@ -11,6 +11,7 @@ stderr).  PNLAB_MAX_N moves every cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -91,35 +92,32 @@ def _bool_text(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _word_values(w: Word, keys: list[str], use_oracle: bool) -> dict[str, str]:
-    """The named fields of w's report, from one computation of f, p and s.
-
-    The class scan behind npf and lr runs only when one of them is named,
-    and then once.
-    """
-    if use_oracle:
+def cmd_word(args) -> int:
+    w = parse_word(args.word)
+    if args.oracle:
         f, p, s = oracle.brute_max_ones(w), oracle.brute_prefix_ones(w), oracle.brute_suffix_ones(w)
     else:
         f, p, s = max_ones(w), prefix_ones(w), suffix_ones(w)
-    npf = lr = None
-    if "npf" in keys or "lr" in keys:
-        if use_oracle:
+
+    @functools.cache
+    def canonical() -> tuple[Word, Word]:
+        """npf and lr; the oracle finds both in one scan of w's class."""
+        if args.oracle:
             members = oracle.brute_class_members(w)
             npf = next(m for m in members if oracle.brute_is_prefix_normal(m))
-            lr = next(m for m in members if oracle.brute_is_suffix_normal(m))
-        else:
-            npf = normality.profile_increments_word(f)
-            lr = npf.reverse()
+            return npf, next(m for m in members if oracle.brute_is_suffix_normal(m))
+        npf = normality.profile_increments_word(f)
+        return npf, npf.reverse()
 
     def pnpal() -> bool:
-        if use_oracle:
+        if args.oracle:
             return palindromes.is_palindrome(w) and f == p
         return palindromes.is_prefix_normal_palindrome_by_profile(w)
 
     def collapse_info() -> str:
         if f != s:
             return "n/a (not a least representative)"
-        if use_oracle:
+        if args.oracle:
             members = next(group for group in oracle.brute_collapse_partition(len(w)) if w in group)
             critical = not oracle.brute_is_suffix_normal(w.prepend(1))
         else:
@@ -135,8 +133,8 @@ def _word_values(w: Word, keys: list[str], use_oracle: bool) -> dict[str, str]:
         "p": lambda: profile_text(p),
         "s": lambda: profile_text(s),
         "fbar": lambda: profile_text(reverse_progress(f)),
-        "npf": lambda: str(npf),
-        "lr": lambda: str(lr),
+        "npf": lambda: str(canonical()[0]),
+        "lr": lambda: str(canonical()[1]),
         "pn": lambda: _bool_text(f == p),
         "sn": lambda: _bool_text(f == s),
         "pal": lambda: _bool_text(palindromes.is_palindrome(w)),
@@ -146,23 +144,15 @@ def _word_values(w: Word, keys: list[str], use_oracle: bool) -> dict[str, str]:
         "collapse": collapse_info,
         "max_ones_sum": lambda: str(max_ones_sum(f)),
     }
-    return {key: fields[key]() for key in keys}
-
-
-def cmd_word(args) -> int:
-    w = parse_word(args.word)
     selected = [key for key in (*_WORD_FIELDS, "collapse") if getattr(args, key)]
+    if not (selected or w):
+        fields["pl"] = lambda: "n/a"  # the empty word has no palindromic prefix: `--pl` is a usage error there
     # every value is computed before the first print, so an oracle over its cap prints nothing
-    if selected:
-        values = _word_values(w, selected, args.oracle)
-        pairs = " ".join(f"{key}={values[key]}" for key in selected)
-        print(values[selected[0]] if len(selected) == 1 else pairs)
+    values = {key: fields[key]() for key in selected or _WORD_REPORT}
+    if len(selected) == 1:
+        print(values[selected[0]])
     else:
-        # the empty word has no palindromic prefix: `--pl` alone is a usage error there
-        keys = [key for key in _WORD_REPORT if key != "pl" or len(w)]
-        values = {"pl": "n/a", **_word_values(w, keys, args.oracle)}
-        for key in _WORD_REPORT:
-            print(f"{key}={values[key]}")
+        print((" " if selected else "\n").join(f"{key}={value}" for key, value in values.items()))
     return 0
 
 
@@ -173,15 +163,12 @@ def cmd_enumerate(args) -> int:
     n = args.n
     if args.classes:
         if args.oracle:
-            classes = {
-                sig: normality.PnClass(sig, npf=max(members), lr=min(members), size=len(members))
-                for sig, members in oracle.brute_class_partition(n).items()
-            }
-            part = normality.ClassPartition(n=n, classes=classes)
+            groups = sorted(oracle.brute_class_partition(n).items())
+            rows = [(sig, max(members), min(members), len(members)) for sig, members in groups]
         else:
-            part = normality.class_partition(n)
-        for line in part.to_jsonl():
-            print(line)
+            rows = [(cls.signature, cls.npf, cls.lr, cls.size) for cls in normality.class_partition(n)]
+        for sig, npf, lr, size in rows:
+            print(json.dumps({"signature": profile_text(sig), "npf": str(npf), "lr": str(lr), "size": size}))
         return 0
     if args.pnpals and args.oracle:
         words = oracle.brute_prefix_normal_palindromes(n)
@@ -217,20 +204,20 @@ def cmd_collapse_classes(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    # every count is taken before the header, so an over-cap run prints nothing
+    rows = list(verify.bounds_by_length(args.n_max))
     print("n,lower,actual,upper_palcol,upper_remark_paper,upper_remark_corrected,violations")
-    for n, actual, b in verify.bounds_by_length(args.n_max):
-        violations = []
-        if actual < b.lower:
-            violations.append("lower")
-        if actual > b.upper_palcol:
-            violations.append("upper_palcol")
-        if actual > b.upper_remark_paper:
-            violations.append("upper_remark_paper")
-        if actual > b.upper_remark_corrected:
-            violations.append("upper_remark_corrected")
+    for n, actual, b in rows:
+        holds = {
+            "lower": actual >= b.lower,
+            "upper_palcol": actual <= b.upper_palcol,
+            "upper_remark_paper": actual <= b.upper_remark_paper,
+            "upper_remark_corrected": actual <= b.upper_remark_corrected,
+        }
+        violations = ";".join(name for name, ok in holds.items() if not ok)
         print(
             f"{n},{b.lower},{actual},{b.upper_palcol},{b.upper_remark_paper},"
-            f"{b.upper_remark_corrected},{';'.join(violations)}"
+            f"{b.upper_remark_corrected},{violations}"
         )
     return 0
 
@@ -293,22 +280,23 @@ def build_parser() -> argparse.ArgumentParser:
     for key in _WORD_FIELDS:
         p_word.add_argument(f"--{key}", action="store_true")
     p_word.add_argument("--collapse", action="store_true")
-    p_word.add_argument("--oracle", action="store_true")
+    p_word.add_argument("--oracle", action="store_true", help="use the brute-force engine")
     p_word.set_defaults(func=cmd_word)
 
     p_enum = sub.add_parser("enumerate", help="stream least representatives of one length")
     p_enum.add_argument("n", type=length)
-    p_enum.add_argument("--pnpals", action="store_true", help="prefix normal palindromes instead")
-    p_enum.add_argument("--classes", action="store_true", help="class partition as JSON lines")
+    kind = p_enum.add_mutually_exclusive_group()
+    kind.add_argument("--pnpals", action="store_true", help="prefix normal palindromes instead")
+    kind.add_argument("--classes", action="store_true", help="class partition as JSON lines")
     p_enum.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
-    p_enum.add_argument("--oracle", action="store_true")
+    p_enum.add_argument("--oracle", action="store_true", help="use the brute-force engine")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_cc = sub.add_parser("collapse-classes", help="collapse classes as JSON lines")
     p_cc.add_argument("n", type=length)
     p_cc.add_argument("--engine", choices=("brute", "band"), default="brute")
     p_cc.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
-    p_cc.add_argument("--oracle", action="store_true")
+    p_cc.add_argument("--oracle", action="store_true", help="use the brute-force engine")
     p_cc.set_defaults(func=cmd_collapse_classes)
 
     p_bounds = sub.add_parser("bounds", help="index bounds per length as CSV")

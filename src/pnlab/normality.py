@@ -21,13 +21,12 @@ about 1·w live here and read the same running counts p and s of w:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import lt
 
 from .limits import check_length, max_partition_length
-from .words import Profile, Word, letters, max_ones, prefix_ones, profile_text, suffix_ones
+from .words import Profile, Word, letters, max_ones, prefix_ones, suffix_ones
 
 
 def is_prefix_normal(w: Word) -> bool:
@@ -170,17 +169,6 @@ class ClassPartition:
 
     def __iter__(self):
         return iter(sorted(self.classes.values(), key=lambda c: c.signature))
-
-    def to_jsonl(self):
-        for cls in self:
-            yield json.dumps(
-                {
-                    "signature": profile_text(cls.signature),
-                    "npf": str(cls.npf),
-                    "lr": str(cls.lr),
-                    "size": cls.size,
-                }
-            )
 
 
 def class_partition(n: int, materialize: bool = False) -> ClassPartition:

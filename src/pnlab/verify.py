@@ -4,12 +4,12 @@ Each suite sweeps one structural claim over all instances up to a given
 length.  It is a generator that yields one PASS line per length and
 raises `Counterexample` at the first instance that breaks the claim; the
 `suite` decorator registers it in CHECKS and turns it into the
-check_*(n_max) -> VerifyReport that callers use.  Each suite reads one
-walk over the lengths that checks n_max against its cap before any
-work, so an over-cap run fails at once.  The `palupperbound` check is
-special: the literal form of that bound fails for a few small lengths,
-so those are reported as FLAGGED while only the corrected form gates
-the result.
+check_*(n_max) -> VerifyReport that callers use.  Each suite checks
+n_max against its cap before any work, most through the walk over the
+lengths that they read, so an over-cap run fails at once.  The
+`palupperbound` check is special: the literal form of that bound fails
+for a few small lengths, so those are reported as FLAGGED while only
+the corrected form gates the result.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import wraps
 from itertools import islice
 
+from . import limits
 from .collapse import index_bounds, iter_collapse_classes, validate_lr_profile
 from .normality import (
     count_least_representatives,
@@ -82,6 +83,7 @@ def suite(name: str, description: str):
 def check_palchar(n_max: int):
     """Palindrome test by definition and by profile mirror must agree: on
     every word up to EXHAUSTIVE_PROFILE_LIMIT letters, on seeded random words beyond."""
+    limits.check_length(n_max, kind="palindrome test")
     rng = random.Random(RANDOM_SEED)
     for n in range(n_max + 1):
         exhaustive = n <= EXHAUSTIVE_PROFILE_LIMIT

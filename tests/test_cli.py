@@ -305,6 +305,12 @@ class TestEnumerate:
         assert by_sig["1,2,2,2"]["npf"] == "1100"
         assert by_sig["1,2,2,2"]["lr"] == "0011"
 
+    def test_jsonl_shape(self):
+        lines = run(["enumerate", "3", "--classes"])[1].splitlines()
+        assert len(lines) == 5
+        first = json.loads(lines[0])
+        assert set(first) == {"signature", "npf", "lr", "size"}
+
     def test_limit_exit_code(self):
         assert run(["enumerate", "40"])[0] == 3
 
@@ -338,6 +344,14 @@ class TestBounds:
         assert rows[1] == "2,5,5,6,4,5,upper_remark_paper"
         assert rows[3] == "4,11,14,29/2,13,14,upper_remark_paper"
         assert rows[4] == "5,17,23,23,23,24,"
+
+    def test_over_cap_prints_nothing(self, monkeypatch):
+        # the class counts are read at n_max + 1, so the table stops one below the word cap
+        monkeypatch.setenv("PNLAB_MAX_N", "6")
+        assert run(["bounds", "5"])[0] == 0
+        code, out, err = run(["bounds", "6"])
+        assert (code, out) == (3, "")
+        assert "length 7 exceeds the limit of 6" in err
 
 
 class TestJpm:
@@ -379,6 +393,7 @@ class TestNegativeLength:
             ["enumerate", "-1"],
             ["collapse-classes", "-1"],
             ["bounds", "-1"],
+            ["enumerate", "3", "--pnpals", "--classes"],
         ],
     )
     def test_usage_error(self, argv):

@@ -30,3 +30,17 @@ def test_no_public_function_takes_a_limit():
                 if "limit" in {arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)}:
                     offenders.append(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
     assert offenders == ["limits.check_length"]
+
+
+def test_only_the_cli_writes_output_formats():
+    # report layouts live in cli.py: no other module serializes JSON or prints
+    json_importers, printers = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import) and any(alias.name == "json" for alias in node.names):
+                json_importers.add(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                json_importers.add(path.name)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+                printers.add(path.name)
+    assert (json_importers, printers) == ({"cli.py"}, {"cli.py"})

@@ -213,11 +213,3 @@ class TestPartition:
         for n in range(0, 11):
             part = class_partition(n)
             assert sum(cls.size for cls in part) == 2**n
-
-    def test_jsonl_shape(self):
-        import json
-
-        lines = list(class_partition(3).to_jsonl())
-        assert len(lines) == 5
-        first = json.loads(lines[0])
-        assert set(first) == {"signature", "npf", "lr", "size"}

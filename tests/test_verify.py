@@ -66,6 +66,7 @@ def test_every_registered_check_has_a_description():
         ("collapsindex", "0", "collapse partition"),
         ("leastsuffix", "4", "partition"),
         ("corlol", "4", "partition"),
+        ("palchar", "0", "palindrome test"),
     ],
 )
 def test_over_cap_suite_fails_before_any_work(monkeypatch, name, cap, kind):

@@ -179,3 +179,30 @@ class TestInvariants:
         for n in range(0, 15):
             for w in all_words(n):
                 assert is_unit_step(max_ones(w))
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        pytest.param(lambda: Word(-1, 0), ValueError, id="negative-length"),
+        pytest.param(lambda: Word(2, 4), ValueError, id="bits-overflow"),
+        pytest.param(lambda: Word.from_bits([0, 2]), ValueError, id="from-bits-letter"),
+        pytest.param(lambda: parse_word("101")[0], IndexError, id="position-0"),
+        pytest.param(lambda: parse_word("101")[4], IndexError, id="position-n+1"),
+        pytest.param(lambda: parse_word("101").slice(0, 1), IndexError, id="slice-start-0"),
+        pytest.param(lambda: parse_word("101").slice(1, 4), IndexError, id="slice-end-n+1"),
+        pytest.param(lambda: is_unit_step((1, 1)), False, id="unit-step-nonzero-start"),
+        pytest.param(lambda: list(parse_word("1101")), [1, 1, 0, 1], id="iter"),
+        pytest.param(lambda: parse_word("10") <= parse_word("10"), True, id="le-equal"),
+        pytest.param(lambda: parse_word("011") <= parse_word("10"), True, id="le-longer-first"),
+        pytest.param(lambda: parse_word("011") < parse_word("10"), True, id="lt-longer-first"),
+        pytest.param(lambda: parse_word("10") < parse_word("011"), False, id="lt-shorter-first"),
+    ],
+)
+def test_guards_and_operators(call, expected):
+    # the packed-value guards raise; between lengths, order is the order of the strings
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            call()
+    else:
+        assert call() == expected
