@@ -32,6 +32,7 @@ from .words import (
 
 SEQUENCE_NAMES = ("pn-count", "npal", "collapse-classes", "max-class-size")
 JOBS_HELP = "ignored: every command runs in one process"
+ENGINE_HELP = "brute (the default) groups by the 1-prepend profile, band searches each extender's profile band"
 
 
 # --- sequence ---------------------------------------------------------------
@@ -73,19 +74,34 @@ def cmd_sequence(args) -> int:
 
 def cmd_verify(args) -> int:
     checker, _ = verify.CHECKS[args.theorem]
-    report = checker(args.n_max)
-    for line in report.lines:
-        print(line)
-    if not report.ok:
-        print(report.counterexample)
+    try:
+        for line in checker.__wrapped__(args.n_max):
+            print(line, flush=True)
+    except verify.Counterexample as exc:
+        print(exc)
         return 1
     return 0
 
 
 # --- word -------------------------------------------------------------------
 
-_WORD_FIELDS = ("f", "p", "s", "fbar", "npf", "lr", "pn", "sn", "pal", "pnpal", "pd", "pl")
-_WORD_REPORT = ("word", "n", "weight", *_WORD_FIELDS, "max_ones_sum")
+# the `word` field flags in report order, with their help; the full report leaves out `collapse`
+_WORD_FLAGS = {
+    "f": "max-ones profile: most 1s in a factor, per length",
+    "p": "prefix-ones profile",
+    "s": "suffix-ones profile",
+    "fbar": "the max-ones profile's increments replayed backwards",
+    "npf": "prefix normal form: the prefix normal member of the word's class",
+    "lr": "least representative: the suffix normal member of the word's class",
+    "pn": "is the word prefix normal",
+    "sn": "is the word suffix normal, that is, a least representative",
+    "pal": "is the word a palindrome",
+    "pnpal": "is the word a prefix normal palindrome",
+    "pd": "palindromic distance: letter flips that make the word a palindrome",
+    "pl": "length of the longest palindromic prefix",
+    "collapse": "whether a least representative's 1-prepend is one, and its collapse class",
+}
+_WORD_REPORT = ("word", "n", "weight", *list(_WORD_FLAGS)[:-1], "max_ones_sum")
 
 
 def _bool_text(value: bool) -> str:
@@ -144,7 +160,7 @@ def cmd_word(args) -> int:
         "collapse": collapse_info,
         "max_ones_sum": lambda: str(max_ones_sum(f)),
     }
-    selected = [key for key in (*_WORD_FIELDS, "collapse") if getattr(args, key)]
+    selected = [key for key in _WORD_FLAGS if getattr(args, key)]
     if not (selected or w):
         fields["pl"] = lambda: "n/a"  # the empty word has no palindromic prefix: `--pl` is a usage error there
     # every value is computed before the first print, so an oracle over its cap prints nothing
@@ -193,7 +209,7 @@ def cmd_collapse_classes(args) -> int:
             for group in oracle.brute_collapse_partition(args.n)
         ]
     else:
-        classes = collapse.collapse_classes(args.n, engine=args.engine)
+        classes = collapse.collapse_classes(args.n, engine=args.engine or "brute")
     for cls in classes:
         members = [str(v) for v in cls.members]  # extender first
         print(json.dumps({"extender": members[0], "members": members, "size": cls.size, "bound": cls.bound}))
@@ -270,16 +286,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--oracle", action="store_true", help="use the brute-force engine")
     p_seq.set_defaults(func=cmd_sequence)
 
-    p_ver = sub.add_parser("verify", help="run one named verification suite")
+    p_ver = sub.add_parser(
+        "verify",
+        help="run one named verification suite",
+        epilog="suites:" + "".join(f"\n  {name:18} {text}" for name, (_, text) in sorted(verify.CHECKS.items())),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     p_ver.add_argument("theorem", choices=sorted(verify.CHECKS))
     p_ver.add_argument("n_max", type=length)
     p_ver.set_defaults(func=cmd_verify)
 
     p_word = sub.add_parser("word", help="report on a single word")
     p_word.add_argument("word")
-    for key in _WORD_FIELDS:
-        p_word.add_argument(f"--{key}", action="store_true")
-    p_word.add_argument("--collapse", action="store_true")
+    for key, text in _WORD_FLAGS.items():
+        p_word.add_argument(f"--{key}", action="store_true", help=text)
     p_word.add_argument("--oracle", action="store_true", help="use the brute-force engine")
     p_word.set_defaults(func=cmd_word)
 
@@ -294,9 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cc = sub.add_parser("collapse-classes", help="collapse classes as JSON lines")
     p_cc.add_argument("n", type=length)
-    p_cc.add_argument("--engine", choices=("brute", "band"), default="brute")
+    engine = p_cc.add_mutually_exclusive_group()
+    # no default: argparse tells a given `--engine` from an absent one by identity with the default
+    engine.add_argument("--engine", choices=("brute", "band"), help=ENGINE_HELP)
+    engine.add_argument("--oracle", action="store_true", help="use the brute-force engine")
     p_cc.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
-    p_cc.add_argument("--oracle", action="store_true", help="use the brute-force engine")
     p_cc.set_defaults(func=cmd_collapse_classes)
 
     p_bounds = sub.add_parser("bounds", help="index bounds per length as CSV")
@@ -305,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_jpm = sub.add_parser("jpm", help="jumbled factor query: is there a length-k factor with d ones")
     p_jpm.add_argument("word")
-    p_jpm.add_argument("--query", type=_query_pair, required=True, metavar="K,D")
+    p_jpm.add_argument("--query", type=_query_pair, required=True, metavar="K,D", help="length k, ones count d")
     p_jpm.add_argument("--oracle", action="store_true", help="answer by factor scan, with witness")
     p_jpm.set_defaults(func=cmd_jpm)
 

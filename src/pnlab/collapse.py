@@ -212,7 +212,7 @@ class CollapseClass:
 def collapse_classes(n: int, engine: str = "brute") -> list[CollapseClass]:
     """Partition the least representatives of length n by collapsing."""
     check_length(n, kind="collapse partition")
-    return _level_classes(n, engine)
+    return _level_classes(n, engine, lr_level(n))
 
 
 def iter_collapse_classes(n_max: int, engine: str = "brute"):
@@ -231,12 +231,10 @@ def collapse_class(w: Word) -> tuple[Word, ...]:
     return tuple(Word(n, bits) for bits in lr_level(n) if prepend_one_profile(bits, n) == key)
 
 
-def _level_classes(n: int, engine: str, level: list[int] | None = None) -> list[CollapseClass]:
-    """The collapse classes of length n grouped by `engine`, from its level (built if not given)."""
+def _level_classes(n: int, engine: str, level: list[int]) -> list[CollapseClass]:
+    """The collapse classes of length n grouped by `engine`, from its level."""
     if engine not in ("brute", "band"):
         raise ValueError(f"unknown engine {engine!r}")
-    if level is None:
-        level = lr_level(n)
     if engine == "brute":
         # the level is increasing, so groups come out sorted and in extender order
         groups: dict[Profile, list[int]] = {}
@@ -272,46 +270,29 @@ def recursive_lr_step(lrs: list[Word]) -> list[Word]:
     if not lrs:
         raise ValueError("input must be the non-empty set of least representatives")
     n = len(lrs[0])
-    seen = set()
-    for w in lrs:
-        if len(w) != n:
-            raise ValueError("mixed word lengths in input")
-        if w.bits in seen:
-            raise ValueError(f"duplicate input word {w}")
-        seen.add(w.bits)
-        _require_lr(w)
-    level = sorted(seen)
-    out = [Word(n, bits).prepend(0) for bits in level]
-    out += [
-        c.extender.prepend(1)
-        for c in _level_classes(n, "brute", level)
-        if not (n >= 1 and c.extender.bits == 0)
-    ]
-    return out
+    if any(len(w) != n for w in lrs):
+        raise ValueError("mixed word lengths in input")
+    level = lr_level(n)
+    if sorted(w.bits for w in lrs) != level:
+        raise ValueError(f"input is not the set of least representatives of length {n}")
+    extenders = [c.packed[0] for c in _level_classes(n, "brute", level) if c.packed[0] or not n]
+    return [Word(n + 1, bits) for bits in level + [bits | 1 << n for bits in extenders]]
 
 
 def palindromic_distance(w: Word) -> int:
-    """Flips needed to make the word a palindrome: mismatches between the
-    first half and the reversed second half (odd middle letter ignored)."""
-    n = len(w)
-    half = n // 2
-    if half == 0:
-        return 0
-    first = w.slice(1, half)
-    second = w.slice(n - half + 1, n).reverse()
-    return (first.bits ^ second.bits).bit_count()
+    """Flips needed to make the word a palindrome: mismatched mirror pairs, each of
+    which differs from the reversal at both positions (an odd middle never differs)."""
+    return (w.bits ^ w.reverse().bits).bit_count() // 2
 
 
 def palindromic_prefix_length(w: Word) -> int:
-    """Length of the longest prefix that is a palindrome."""
+    """Length of the longest prefix that is a palindrome: the largest k whose
+    prefix equals the length-k suffix of the reversal."""
     n = len(w)
     if n == 0:
         raise UsageError("empty word has no palindromic prefix length")
-    for k in range(n, 0, -1):
-        prefix = w.slice(1, k)
-        if prefix == prefix.reverse():
-            return k
-    raise AssertionError("single letters are palindromes")
+    rev = w.reverse().bits
+    return next(k for k in range(n, 0, -1) if w.bits >> (n - k) == rev & ((1 << k) - 1))
 
 
 def class_size_bound(w: Word) -> int:

@@ -4,12 +4,13 @@ Each suite sweeps one structural claim over all instances up to a given
 length.  It is a generator that yields one PASS line per length and
 raises `Counterexample` at the first instance that breaks the claim; the
 `suite` decorator registers it in CHECKS and turns it into the
-check_*(n_max) -> VerifyReport that callers use.  Each suite checks
-n_max against its cap before any work, most through the walk over the
-lengths that they read, so an over-cap run fails at once.  The
-`palupperbound` check is special: the literal form of that bound fails
-for a few small lengths, so those are reported as FLAGGED while only
-the corrected form gates the result.
+check_*(n_max) -> VerifyReport that callers use (the CLI streams the
+generator, `check.__wrapped__`).  Each suite checks n_max against its
+cap before any work, most through the walk over the lengths that they
+read, so an over-cap run fails at once.  The `palupperbound` check is
+special: the literal form of that bound fails for a few small lengths,
+so those are reported as FLAGGED while only the corrected form gates
+the result.
 """
 
 from __future__ import annotations

@@ -92,8 +92,7 @@ class Word:
         return (self.bits >> (self.n - i)) & 1
 
     def __iter__(self):
-        for shift in range(self.n - 1, -1, -1):
-            yield (self.bits >> shift) & 1
+        return iter(letters(self.bits, self.n))
 
     def __lt__(self, other: "Word") -> bool:
         if self.n == other.n:
@@ -136,15 +135,11 @@ class Word:
 
 def parse_word(text: str) -> Word:
     """Parse a string of '0'/'1' letters; the empty string is the empty word."""
-    value = 0
-    for pos, ch in enumerate(text, start=1):
-        if ch == "1":
-            value = (value << 1) | 1
-        elif ch == "0":
-            value <<= 1
-        else:
-            raise WordParseError(f"invalid letter {ch!r} at position {pos}")
-    return Word(len(text), value)
+    # checked first, since int() also accepts '_' and surrounding whitespace
+    rest = text.lstrip("01")
+    if rest:
+        raise WordParseError(f"invalid letter {rest[0]!r} at position {len(text) - len(rest) + 1}")
+    return Word(len(text), int("0" + text, 2))
 
 
 _DIGIT_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")

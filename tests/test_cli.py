@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 
 import pnlab
 from pnlab import oracle, verify
-from pnlab.cli import main
+from pnlab.cli import build_parser, main
 
 SRC = str(Path(pnlab.__file__).resolve().parents[1])
 
@@ -163,6 +164,23 @@ class TestVerify:
             *(f"PASS n={n} words={1 << n} (exhaustive)" for n in range(4)),
             "counterexample 1001 (definition and profile test disagree)",
         ]
+
+    def test_lines_stream(self, monkeypatch):
+        # the patched profile test looks at stdout when palchar reaches its first 1-letter word
+        printed_before_n1 = []
+        profile_test = verify.is_prefix_normal_palindrome_by_profile
+
+        def spy(w):
+            if len(w) == 1 and not printed_before_n1:
+                printed_before_n1.append("PASS n=0" in out.getvalue())
+            return profile_test(w)
+
+        monkeypatch.setattr(verify, "is_prefix_normal_palindrome_by_profile", spy)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["verify", "palchar", "2"]) == 0
+        assert printed_before_n1 == [True]
+        assert out.getvalue().splitlines() == [f"PASS n={n} words={1 << n} (exhaustive)" for n in range(3)]
 
     def test_palupperbound_flags_but_passes(self):
         code, out, _ = run(["verify", "palupperbound", "10"])
@@ -394,6 +412,8 @@ class TestNegativeLength:
             ["collapse-classes", "-1"],
             ["bounds", "-1"],
             ["enumerate", "3", "--pnpals", "--classes"],
+            ["collapse-classes", "3", "--engine", "band", "--oracle"],
+            ["collapse-classes", "3", "--engine", "brute", "--oracle"],
         ],
     )
     def test_usage_error(self, argv):
@@ -405,6 +425,18 @@ class TestNegativeLength:
         with pytest.raises(SystemExit) as exc:
             run(["bounds", "x"])
         assert exc.value.code == 2
+
+
+def test_every_option_has_help():
+    # a lint: `pnlab <command> --help` explains every flag it lists
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    bare = [
+        f"{name} {action.option_strings[-1]}"
+        for name, parser in commands.choices.items()
+        for action in parser._actions
+        if action.option_strings and not action.help
+    ]
+    assert bare == []
 
 
 class TestProcess:

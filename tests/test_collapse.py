@@ -251,6 +251,16 @@ class TestRecursiveStep:
         with pytest.raises(ValueError):
             recursive_lr_step([parse_word("01"), parse_word("01")])
 
+    def test_rejects_anything_but_the_whole_level(self):
+        level = list(enumerate_least_representatives(4))
+        for bad in (
+            [w for w in level if str(w) != "0011"],  # partial: 11001 would come out as if it were one
+            [*level, parse_word("1000")],
+            [*level, level[3]],
+        ):
+            with pytest.raises(ValueError, match="not the set of least representatives of length 4"):
+                recursive_lr_step(bad)
+
 
 class TestPalindromicMeasures:
     def test_distance_examples(self):
@@ -263,6 +273,15 @@ class TestPalindromicMeasures:
         assert palindromic_prefix_length(parse_word("1101")) == 2
         assert palindromic_prefix_length(parse_word("01101")) == 4
         assert palindromic_prefix_length(parse_word("10101")) == 5
+
+    def test_match_definitions(self):
+        for n in range(1, 13):
+            for bits in range(1 << n):
+                w = Word(n, bits)
+                assert palindromic_distance(w) == sum(w[i] != w[n + 1 - i] for i in range(1, n // 2 + 1))
+                pl = max(k for k in range(1, n + 1) if all(w[i] == w[k + 1 - i] for i in range(1, k + 1)))
+                assert palindromic_prefix_length(w) == pl
+        assert palindromic_distance(Word(0, 0)) == 0
 
     def test_prefix_length_empty(self):
         with pytest.raises(ValueError):

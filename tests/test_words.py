@@ -7,6 +7,7 @@ from pnlab.words import (
     Word,
     WordParseError,
     is_unit_step,
+    letters,
     max_ones,
     max_ones_sum,
     parse_word,
@@ -38,6 +39,11 @@ class TestParse:
             parse_word("2")
         with pytest.raises(WordParseError, match="position 3"):
             parse_word("01x1")
+        # int() would accept these, so the letters are checked first
+        for text, letter, pos in [("1_0", "_", 2), ("10 ", " ", 3), (" 1", " ", 1), ("01\n", "\n", 3)]:
+            with pytest.raises(WordParseError) as exc:
+                parse_word(text)
+            assert str(exc.value) == f"invalid letter {letter!r} at position {pos}"
 
     def test_roundtrip(self):
         for n in range(0, 7):
@@ -81,6 +87,11 @@ class TestWordOps:
     def test_weight(self):
         assert parse_word("110101").weight() == 4
         assert parse_word("").weight() == 0
+
+    def test_iter_reads_the_letters(self):
+        for n in range(11):
+            for w in all_words(n):
+                assert list(w) == [w[i] for i in range(1, n + 1)] == list(letters(w.bits, n))
 
 
 class TestProfiles:
