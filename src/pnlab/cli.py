@@ -5,7 +5,7 @@ bounds, jpm.  Sequences print CSV with an "n,value" header, structured
 records print JSON lines, word reports print plain text.  Exit codes:
 0 success, 1 verification counterexample, 2 usage error, 3 enumeration
 limit exceeded, 4 internal error (a bug in pnlab; the traceback goes to
-stderr).  PNLAB_MAX_N moves every cap.
+stderr).  PNLAB_MAX_N moves every cap but the oracle's.
 """
 
 from __future__ import annotations

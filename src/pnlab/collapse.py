@@ -18,9 +18,11 @@ Classes can be computed two ways:
   front (reverse of 1·w[1..n-1]) and is then lifted wherever the two
   profiles differ on only one side of a mirror pair (i, n-i+1), because
   collapsers that are least representatives differ from the top profile
-  symmetrically.  Every subset of the open mirror pairs gives one
-  candidate profile, realized as a word through its increments and kept
-  after a direct collapse check.
+  symmetrically.  Every subset of the open mirror pairs lowers the top
+  by one on its units.  The top is the extender's suffix counts, so
+  lowering it at i moves a 1 of the extender one step left, from
+  position n+1-i to n-i; each candidate is the extender with those
+  letters moved, kept after a direct collapse check.
 
 Both engines must agree; the test suites compare them exhaustively.
 Either way a class is a `CollapseClass`: its members as packed ints,
@@ -39,9 +41,8 @@ from .normality import (
     iter_lr_levels,
     lr_level,
     prepend_one_profile,
-    profile_increments_word,
 )
-from .words import Profile, Word, is_unit_step, max_ones
+from .words import Profile, Word, max_ones, suffix_ones
 
 
 def collapses(w: Word, v: Word) -> bool:
@@ -84,7 +85,7 @@ def lower_band_word(w: Word) -> Word:
         raise ValueError("zero-weight words have no collapse band")
     if not extends_to_lr(w):
         raise ValueError(f"{w} collapses with a smaller least representative")
-    return w.slice(1, n - 1).prepend(1).reverse()
+    return Word(n, w.bits >> 1 | 1 << n - 1).reverse()
 
 
 def adjusted_lower_band(w: Word, u: Word) -> Profile:
@@ -100,7 +101,7 @@ def adjusted_lower_band(w: Word, u: Word) -> Profile:
         raise ValueError(f"{w} does not extend to a least representative")
     if not collapses(w, u):
         raise ValueError(f"{u} does not collapse with {w}")
-    return _lift(max_ones(w), max_ones(u))
+    return _lift(suffix_ones(w), max_ones(u))  # w is suffix normal: s is its profile
 
 
 def _lift(fw: Profile, fu: Profile) -> Profile:
@@ -125,9 +126,9 @@ class BandSpec:
 
 
 def band_spec(w: Word) -> BandSpec:
-    upper = max_ones(w)
-    # lower_band_word validates w, and its word always collapses with w
-    lower = _lift(upper, max_ones(lower_band_word(w)))
+    u = lower_band_word(w)  # validates w, so w's profile is its suffix counts
+    upper = suffix_ones(w)
+    lower = _lift(upper, max_ones(u))  # u always collapses with w
     n = len(w)
     free = frozenset(i for i in range(1, (n + 1) // 2 + 1) if lower[i] != upper[i])
     return BandSpec(upper=upper, lower=lower, free_positions=free)
@@ -153,31 +154,27 @@ def validate_lr_profile(s: Profile) -> bool:
 def candidate_collapsers(w: Word) -> list[Word]:
     """All least representatives other than w that collapse with the extender w.
 
-    Candidate profiles are the band top with any subset of its open
-    mirror pairs lowered by one; each is materialized through its
-    increments and reversed, so its suffix counts are that profile.  One
-    whose max-ones profile is that profile too is suffix normal, a least
-    representative, and is kept when its `prepend_one_profile` is w's.
+    A candidate lowers the band top, w's suffix counts, by one on a subset
+    of the open mirror units: lowering at i moves a 1 of w from bit i-1 to
+    bit i of the packed value.  A subset that moves a letter w lacks would
+    leave unit steps and is skipped; a candidate is kept when it is suffix
+    normal (its suffix counts are the lowered profile) with w's `prepend_one_profile`.
     """
     n = len(w)
-    spec = band_spec(w)
     target = prepend_one_profile(w.bits, n)
-    units = [{i, n - i + 1} for i in sorted(spec.free_positions)]
+    # an odd middle unit is one bit; unit {1, n} is never open, so no move leaves the word
+    units = [1 << i - 1 | 1 << n - i for i in sorted(band_spec(w).free_positions)]
 
     found: list[Word] = []
-    for mask in range(1, 1 << len(units)):
-        g = list(spec.upper)
-        for t, unit in enumerate(units):
-            if (mask >> t) & 1:
-                for pos in unit:
-                    g[pos] -= 1
-        profile = tuple(g)
-        if not (is_unit_step(profile) and validate_lr_profile(profile)):
+    for subset in range(1, 1 << len(units)):
+        lowered = sum(unit for t, unit in enumerate(units) if subset >> t & 1)
+        moved = lowered ^ lowered << 1
+        if (w.bits ^ lowered) & moved:
             continue
-        cand = profile_increments_word(profile).reverse()
-        if max_ones(cand) == profile and prepend_one_profile(cand.bits, n) == target:
+        cand = Word(n, w.bits ^ moved)
+        if is_suffix_normal(cand) and prepend_one_profile(cand.bits, n) == target:
             found.append(cand)
-    # mask order is not word order: four-member classes come out unsorted from n = 9
+    # subset order is not word order: four-member classes come out unsorted from n = 9
     found.sort()
     return found
 
@@ -241,21 +238,20 @@ def _level_classes(n: int, engine: str, level: list[int]) -> list[CollapseClass]
         for bits in level:
             groups.setdefault(prepend_one_profile(bits, n), []).append(bits)
         return [CollapseClass(n, tuple(vals)) for vals in groups.values()]
-    lrs = [Word(n, bits) for bits in level]
     claimed: set[int] = set()
     classes: list[CollapseClass] = []
-    for w in lrs:
-        if w.bits in claimed:
+    for bits in level:
+        if bits in claimed:
             continue
-        packed = [w.bits]
-        if w.bits != 0:
-            for v in candidate_collapsers(w):
-                if v.bits in claimed or not w < v:
+        packed = [bits]
+        if bits:
+            for v in candidate_collapsers(Word(n, bits)):
+                if v.bits in claimed or v.bits <= bits:
                     raise RuntimeError(f"band engine produced an out-of-order collapser {v}")
                 packed.append(v.bits)
         claimed.update(packed)
         classes.append(CollapseClass(n, tuple(packed)))
-    if len(claimed) != len(lrs):
+    if len(claimed) != len(level):
         raise RuntimeError("band engine failed to cover every least representative")
     return classes
 

@@ -216,9 +216,3 @@ def profile_text(f: Profile) -> str:
     """Serialize v(1..n) as comma-separated integers; v(0) stays implicit."""
     return ",".join(str(v) for v in f[1:])
 
-
-def is_unit_step(f: Profile) -> bool:
-    """True when v(0) = 0, steps are 0 or 1, and v(k) never exceeds k."""
-    if f[0] != 0:
-        return False
-    return all(0 <= f[k] - f[k - 1] <= 1 and f[k] <= k for k in range(1, len(f)))

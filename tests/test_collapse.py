@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from pnlab import oracle
+from pnlab import collapse, normality, oracle, words
 from pnlab.collapse import (
     adjusted_lower_band,
     band_spec,
@@ -206,6 +206,23 @@ class TestClasses:
             reference = [tuple(map(str, g)) for g in oracle.brute_collapse_partition(n)]
             assert brute == band == reference
             assert brute_walk == band_walk == collapse_classes(n)
+        for n in range(14, 17):
+            assert [c.packed for c in collapse_classes(n, "band")] == [c.packed for c in collapse_classes(n)]
+
+    def test_band_engine_work(self, monkeypatch):
+        # a candidate is its extender with letters moved, so the subset loop builds no
+        # profile, and each validated extender's profile is read off its suffix counts
+        calls = 0
+
+        def counted(w):
+            nonlocal calls
+            calls += 1
+            return max_ones(w)
+
+        for module in (words, normality, collapse):
+            monkeypatch.setattr(module, "max_ones", counted)
+        collapse_classes(12, "band")
+        assert calls <= 1466
 
     def test_one_class_matches_partition(self):
         for n in range(0, 9):

@@ -1,9 +1,13 @@
 import ast
+import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pnlab
+from pnlab import cli, collapse, jpm, normality, palindromes, verify, words
 
 PACKAGE = Path(pnlab.__file__).resolve().parent
+LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
 
 def test_no_private_names_imported_across_modules():
@@ -44,3 +48,18 @@ def test_only_the_cli_writes_output_formats():
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
                 printers.add(path.name)
     assert (json_importers, printers) == ({"cli.py"}, {"cli.py"})
+
+
+def test_traced_names_exist():
+    # the traced benchmark wraps these attributes by name and fails on a missing one;
+    # listing them builds wrapper factories only, so no tracer is needed
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    mods = SimpleNamespace(
+        words=words, normality=normality, palindromes=palindromes, collapse=collapse,
+        verify=verify, cli=cli, jpm=jpm,
+    )
+    pairs = layers.targets(None, mods)
+    missing = [f"{module.__name__}.{name}" for module, name, _ in pairs if not hasattr(module, name)]
+    assert pairs and missing == []
