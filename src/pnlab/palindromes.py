@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .limits import check_length, max_palindrome_length
 from .normality import is_prefix_normal, iter_lr_levels, lr_level
-from .words import Profile, Word, max_ones, prefix_ones
+from .words import Profile, Word, max_ones, prefix_ones, reversed_bits
 
 
 def is_palindrome(w: Word) -> bool:
@@ -48,14 +48,12 @@ def is_prefix_normal_palindrome_by_profile(w: Word) -> bool:
 
 
 def palindrome_from_tail(n: int, tail: int) -> Word:
-    """The length-n palindrome whose last ceil(n/2) letters are the packed value `tail`."""
-    half_len = (n + 1) // 2
-    mirror_len = n // 2
-    if tail >> half_len:
+    """The length-n palindrome whose last ceil(n/2) letters are the packed value `tail`:
+    p = t | rev_n(t), the tail OR its reversal at length n, which share only the
+    middle letter of an odd n, where they agree."""
+    if tail >> (n + 1) // 2:
         raise ValueError("tail value does not fit")
-    mirrored = tail & ((1 << mirror_len) - 1)
-    head = int(format(mirrored, f"0{mirror_len}b")[::-1], 2)
-    return Word(n, head << half_len | tail)
+    return Word(n, tail | reversed_bits(tail, n))
 
 
 @dataclass(frozen=True)

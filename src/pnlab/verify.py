@@ -5,12 +5,13 @@ length.  It is a generator that yields one PASS line per length and
 raises `Counterexample` at the first instance that breaks the claim; the
 `suite` decorator registers it in CHECKS and turns it into the
 check_*(n_max) -> VerifyReport that callers use (the CLI streams the
-generator, `check.__wrapped__`).  Each suite checks n_max against its
-cap before any work, most through the walk over the lengths that they
-read, so an over-cap run fails at once.  The `palupperbound` check is
-special: the literal form of that bound fails for a few small lengths,
-so those are reported as FLAGGED while only the corrected form gates
-the result.
+generator, `check.__wrapped__`).  A suite that yields no line checked
+nothing, so both raise `UsageError` for it rather than pass.  Each suite
+checks n_max against its cap before any work, most through the walk over
+the lengths that they read, so an over-cap run fails at once.  The
+`palupperbound` check is special: the literal form of that bound fails
+for a few small lengths, so those are reported as FLAGGED while only the
+corrected form gates the result.
 """
 
 from __future__ import annotations
@@ -65,10 +66,19 @@ def suite(name: str, description: str):
 
     def register(lines_of):
         @wraps(lines_of)
+        def checked_lines(n_max: int):
+            lines = lines_of(n_max)
+            first = next(lines, None)
+            if first is None:
+                raise limits.UsageError(f"{name} checks nothing up to length {n_max}")
+            yield first
+            yield from lines
+
+        @wraps(checked_lines)
         def check(n_max: int) -> VerifyReport:
             lines: list[str] = []
             try:
-                for line in lines_of(n_max):
+                for line in checked_lines(n_max):
                     lines.append(line)
             except Counterexample as exc:
                 return VerifyReport(name, False, lines, str(exc))
@@ -227,6 +237,8 @@ def check_collapsindex(n_max: int):
 
 def bounds_by_length(n_max: int):
     """Yield (n, class count at n + 1, its `index_bounds`) for n = 2..n_max."""
+    if n_max < 2:
+        raise limits.UsageError(f"index bounds start at length 2, so there are none up to length {n_max}")
     counts = count_least_representatives(n_max + 1)
     pal = [len(words) for _, words in iter_prefix_normal_palindromes(n_max + 1)]
     for n in range(2, n_max + 1):

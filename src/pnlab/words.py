@@ -11,9 +11,10 @@ A profile is a tuple (v(0), v(1), ..., v(n)) over factor lengths:
   prefix_ones  v(k) is the number of 1s in the prefix of length k
   suffix_ones  v(k) is the number of 1s in the suffix of length k
 
-All three are read off the word's prefix counts p(0..n).  `letters`
-turns a word into one byte per letter (value 0 or 1) in one C-level pass;
-prefix_ones and suffix_ones accumulate it, and max_ones packs it.
+All three are read off the word's prefix counts p(0..n).  A word is spelled
+in digits one way, `bin` of its packed value with a marker bit 1 << n that
+keeps leading zeros.  `str` and `reversed_bits` read it, max_ones writes it
+into its fields, and `letters` turns it into bytes of value 0 or 1.
 
 max_ones is word-parallel.  It packs p(1..n) into n fields of B bits of one
 int P, field j holding p(n - j), with B chosen so that 2^(B-1) > n.  For
@@ -81,7 +82,7 @@ class Word:
         return self.n
 
     def __str__(self) -> str:
-        return format(self.bits, f"0{self.n}b") if self.n else ""
+        return _digits(self.bits, self.n)
 
     def __repr__(self) -> str:
         return f"Word('{self}')"
@@ -107,9 +108,7 @@ class Word:
         return self.bits.bit_count()
 
     def reverse(self) -> "Word":
-        if self.n <= 1:
-            return self
-        return Word(self.n, int(str(self)[::-1], 2))
+        return Word(self.n, reversed_bits(self.bits, self.n))
 
     def complement(self) -> "Word":
         return Word(self.n, self.bits ^ ((1 << self.n) - 1))
@@ -143,12 +142,21 @@ def parse_word(text: str) -> Word:
 
 
 _DIGIT_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
-_BIT_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _digits(bits: int, n: int) -> str:
+    """The letters of Word(n, bits) as '0'/'1' text."""
+    return bin(bits | 1 << n)[3:]
 
 
 def letters(bits: int, n: int) -> bytes:
     """The letters of Word(n, bits), leftmost first, as bytes of value 0 or 1."""
-    return bin(bits | 1 << n)[3:].encode().translate(_DIGIT_TO_BIT)
+    return _digits(bits, n).encode().translate(_DIGIT_TO_BIT)
+
+
+def reversed_bits(bits: int, n: int) -> int:
+    """The packed value of Word(n, bits) read right to left."""
+    return int("0" + _digits(bits, n)[::-1], 2)
 
 
 def max_ones(w: Word) -> Profile:
@@ -166,12 +174,12 @@ def max_ones(w: Word) -> Profile:
     if not n:
         return (0,)
     width = n.bit_length() + 1
-    fields = bytearray(width * n)
-    fields[width - 1 :: width] = letters(w.bits, n)
+    fields = bytearray(b"0") * (width * n)
+    fields[width - 1 :: width] = _digits(w.bits, n).encode()
     # field n - i holds letter i, read by int() from ASCII digits; adding
     # to every field all fields above it (log2 n shift-adds) turns field j
     # into p(n - j)
-    packed = int(fields.translate(_BIT_TO_DIGIT), 2)
+    packed = int(fields, 2)
     shift = width
     while shift < width * n:
         packed += packed >> shift

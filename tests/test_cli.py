@@ -193,6 +193,25 @@ class TestVerify:
             run(["verify", "nonsense", "5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "name,n_max",
+        [
+            *((name, 0) for name in (
+                "collapsindex", "collapstheo", "counting-identity", "falsecollapse", "lexsmall",
+                "notpal", "palcol", "palupperbound", "smallsum", "ww-w0w-1ww1",
+            )),
+            ("palcol", 1),
+            ("palupperbound", 1),
+        ],
+    )
+    def test_nothing_to_check_is_usage_error(self, name, n_max):
+        # a report with no line checked nothing: it neither passes nor prints
+        code, out, err = run(["verify", name, str(n_max)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith(f" up to length {n_max}\n") and err.count("\n") == 1
+        with pytest.raises(pnlab.UsageError):
+            verify.CHECKS[name][0](n_max)
+
 
 class TestWord:
     def test_profile_pair(self):
@@ -363,6 +382,13 @@ class TestBounds:
         assert rows[3] == "4,11,14,29/2,13,14,upper_remark_paper"
         assert rows[4] == "5,17,23,23,23,24,"
 
+    @pytest.mark.parametrize("n_max", [0, 1])
+    def test_no_rows_is_usage_error(self, n_max):
+        # the first row is n = 2, so a shorter table would be its header alone
+        code, out, err = run(["bounds", str(n_max)])
+        assert (code, out) == (2, "")
+        assert err == f"error: index bounds start at length 2, so there are none up to length {n_max}\n"
+
     def test_over_cap_prints_nothing(self, monkeypatch):
         # the class counts are read at n_max + 1, so the table stops one below the word cap
         monkeypatch.setenv("PNLAB_MAX_N", "6")
@@ -384,6 +410,12 @@ class TestJpm:
     def test_out_of_range(self):
         code, _, err = run(["jpm", "1101", "--query", "9,1"])
         assert code == 2
+
+    @pytest.mark.parametrize("oracle_flag", [[], ["--oracle"]])
+    @pytest.mark.parametrize("query", ["1,5", "1,-1"])
+    def test_ones_count_outside_the_factor_is_no(self, oracle_flag, query):
+        # k indexes the envelopes, so only k is range-checked; no factor holds d ones outside 0..k
+        assert run(["jpm", "101", "--query", query, *oracle_flag]) == (0, "no\n", "")
 
     def test_internal_error_is_not_a_usage_error(self, monkeypatch):
         # a plain ValueError from inside pnlab is a bug, reported with its traceback

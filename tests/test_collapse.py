@@ -133,6 +133,13 @@ class TestBand:
         w, u = parse_word("0011"), parse_word("1001")
         assert adjusted_lower_band(w, u) == max_ones(u)
 
+    def test_adjustment_preconditions(self):
+        # 1001 is a least representative whose 1-prepend is not one
+        with pytest.raises(ValueError, match="1001 does not extend"):
+            adjusted_lower_band(parse_word("1001"), parse_word("1001"))
+        with pytest.raises(ValueError, match="0101 does not collapse with 0011"):
+            adjusted_lower_band(parse_word("0011"), parse_word("0101"))
+
     def test_band_spec_invariants(self):
         for n in range(1, 12):
             for w in enumerate_least_representatives(n):
@@ -223,6 +230,20 @@ class TestClasses:
             monkeypatch.setattr(module, "max_ones", counted)
         collapse_classes(12, "band")
         assert calls <= 1466
+
+    @pytest.mark.parametrize(
+        "stray,message",
+        [
+            (lambda w: [w], "out-of-order collapser 0001"),
+            # 1000 is not suffix normal, so the classes claim one word more than the level holds
+            (lambda w: [Word(4, 0b1000)] if w.bits == 1 else [], "failed to cover"),
+        ],
+        ids=["not-above-the-extender", "outside-the-level"],
+    )
+    def test_band_engine_rejects_a_stray_candidate(self, monkeypatch, stray, message):
+        monkeypatch.setattr(collapse, "candidate_collapsers", stray)
+        with pytest.raises(RuntimeError, match=message):
+            collapse_classes(4, "band")
 
     def test_one_class_matches_partition(self):
         for n in range(0, 9):

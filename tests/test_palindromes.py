@@ -55,6 +55,14 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             palindrome_from_tail(4, 0b100)
 
+    def test_every_tail_mirrors(self):
+        # the tail OR its reversal at length n, against the mirror spelled out
+        for n in range(17):
+            half = (n + 1) // 2
+            for tail in range(1 << half):
+                text = format(tail, f"0{half}b") if half else ""
+                assert str(palindrome_from_tail(n, tail)) == text[::-1][: n // 2] + text
+
     def test_tail_round_trip(self):
         # every least representative is the tail of the palindromes of lengths 2m - 1 and 2m
         for m, level in iter_lr_levels(12):

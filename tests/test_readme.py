@@ -1,13 +1,15 @@
-"""The README's CLI examples run, and its Limits paragraph states the caps of `limits.py`."""
+"""The README's CLI examples run, its Limits paragraph states the caps of `limits.py`, and its lists are complete."""
 
 import contextlib
 import io
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from pnlab import oracle
+import pnlab
+from pnlab import oracle, verify
 from pnlab.cli import main
 from pnlab.limits import max_palindrome_length, max_partition_length, max_word_length
 from pnlab.normality import lr_level
@@ -56,3 +58,11 @@ def test_limits_paragraph_matches_the_caps(monkeypatch):
     assert f"`BRUTE_LIMIT` = {oracle.BRUTE_LIMIT}" in text
     assert f"`BRUTE_COLLAPSE_LIMIT` = {oracle.BRUTE_COLLAPSE_LIMIT}" in text
     assert f"one below the word cap, at {max_word_length() - 1} by default" in text
+
+
+def test_layout_and_suite_lists_are_complete():
+    layout = section("Layout").split("```")[1]
+    modules = {path.name for path in Path(pnlab.__file__).parent.glob("*.py")} - {"__init__.py", "__main__.py"}
+    assert set(re.findall(r"^  (\w+\.py) ", layout, re.M)) == modules
+    suites = section("CLI").split("Verification suite names:", 1)[1].split("\n\n", 1)[0]
+    assert sorted(re.findall(r"`([\w-]+)`", suites)) == sorted(verify.CHECKS)

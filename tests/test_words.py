@@ -55,6 +55,7 @@ class TestWordOps:
         assert str(parse_word("1101").reverse()) == "1011"
         assert str(parse_word("10101").reverse()) == "10101"
         assert str(parse_word("0011").reverse()) == "1100"
+        assert parse_word("").reverse() == parse_word("")
 
     def test_reverse_involution(self):
         for w in all_words(8):
