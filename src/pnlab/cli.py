@@ -52,16 +52,15 @@ def cmd_sequence(args) -> int:
         }[args.name]
         rows = ((n, brute(n)) for n in range(n_max + 1))
     elif args.name == "pn-count":
-        rows = ((m, len(level)) for m, level in normality.iter_lr_levels(n_max))
+        rows = enumerate(normality.count_least_representatives(n_max))
     elif args.name == "npal":
         rows = ((n, len(words)) for n, words in palindromes.iter_prefix_normal_palindromes(n_max))
     elif args.name == "collapse-classes":
         # lexsmall theorem: one member per class extends, except in the all-zeros class
-        levels = normality.iter_lr_levels(n_max)
-        rows = ((m, sum(normality.extends_by_one(bits, m) for bits in level) + 1) for m, level in levels)
+        rows = ((m, kept + 1) for m, kept in enumerate(normality.count_one_prepends(n_max)))
     else:
         rows = ((part.n, max(cls.size for cls in part)) for part in normality.iter_class_partitions(n_max))
-    # row 0 is never printed; taking it runs the fast walk's cap check, so an over-cap run prints nothing
+    # row 0 is never printed; taking it runs a lazy walk's cap check, so an over-cap run prints nothing
     next(rows)
     print("n,value")
     for n, value in rows:

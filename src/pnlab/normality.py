@@ -11,16 +11,20 @@ representative.
 Least representatives of length n + 1 arise only by prepending a letter
 to least representatives of length n: prepending 0 always works, and
 prepending 1 works exactly when every prefix strictly under-counts the
-suffix of the next length (`p(k) < s(k+1)` for all k).  The level
-iterator below builds length after length on that rule, which reaches
-lengths around 24 without touching the full 2^n space.  Both questions
-about 1·w live here and read the same running counts p and s of w:
-`prepend_one_profile` is its profile (the collapse key), and
-`extends_by_one` asks that this profile equal s on 1..n.
+suffix of the next length (`p(k) < s(k+1)` for all k).  So they form a
+tree under prepending, rooted at the empty word, and one depth-first
+walk of that tree, carrying each node's prefix and suffix counts as
+packed ints, yields every level up to lengths around 24 without
+touching the full 2^n space.  Counting needs only the walk's stack,
+O(n) memory, with no level held.  The questions about 1·w read the same
+counts p and s of w: the walk tests p(k) < s(k+1) on all fields at
+once, `extends_by_one` asks it of one word, and `prepend_one_profile`
+is the profile of 1·w (the collapse key).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import lt
@@ -92,12 +96,12 @@ def class_members(w: Word) -> list[Word]:
     return out
 
 
-# --- level-by-level construction of least representatives -----------------
+# --- least representatives by a depth-first walk -------------------------
 #
 # A level is the increasing list of packed least representatives of one length.
-# Their profile is their suffix counts s, so the bits are the whole state.  A 0-prepend
-# keeps the value; a 1-prepend sets bit m, kept when p(i) < s(i+1) for all i < m.
-# Both 1-prepend functions read p and s as running counts of the same letters.
+# The walk keeps (bits, P, S) only for the nodes on its stack: P and S pack the
+# prefix and suffix counts in fields of B bits, 2^(B-1) above the longest tested
+# length, so that one subtract tests a 1-prepend.  Levels are plain sorted ints.
 
 
 def prepend_one_profile(bits: int, n: int) -> Profile:
@@ -121,22 +125,68 @@ def extends_by_one(bits: int, m: int) -> bool:
     return all(map(lt, accumulate(x, initial=0), accumulate(x[::-1])))
 
 
-def iter_lr_levels(n_max: int):
-    """Yield (m, level) for m = 0..n_max; a level is the increasing list of
-    packed least representatives of length m, up to the word cap."""
-    check_length(n_max)
-    level = [0]
-    yield 0, level
-    for m in range(n_max):
-        level = level + [bits | 1 << m for bits in level if extends_by_one(bits, m)]
-        yield m + 1, level
+def _walk(n: int, leaves: list[int] | None) -> list[int]:
+    """Walk the least representatives shorter than n depth first, and append
+    those of length n to leaves, unless it is None.  Returns kept, where kept[m]
+    counts the least representatives of length m whose 1-prepend is one, for m < n.
+
+    A node is (m, bits, P, S, weight) for w = Word(m, bits): field i of P (B bits
+    wide) holds p(i) and field i of S holds s(i+1), for i < m.  Its children are
+    0·w, with P << B and S | weight << B·m, and 1·w, with
+    (P << B) + (ones(m+1) ^ 1) and S | (weight + 1) << B·m, kept exactly when
+    p(i) < s(i+1) for all i < m.  Field i of (S | tops) - P - ones holds
+    2^(B-1) + s(i+1) - p(i) - 1, whose top bit is that test, as long as it stays
+    in 0..2^B - 1: w is suffix normal, so p(i) <= s(i) <= s(i+1) and the value is
+    at least 2^(B-1) - 1, and s(i+1) <= m < 2^(B-1) keeps it below 2^B and lets
+    the OR with the top bits add them.  So no field borrows, given the width
+    rule: B is the least width with 2^(B-1) > n - 1, the longest tested length.
+    """
+    kept = [0] * n
+    if not n:
+        if leaves is not None:
+            leaves.append(0)
+        return kept
+    width = (n - 1).bit_length() + 1
+    ones = [((1 << width * m) - 1) // ((1 << width) - 1) for m in range(n + 1)]  # 1 in m fields
+    tops = [o << width - 1 for o in ones]
+    stack = [(0, 0, 0, 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        m, bits, P, S, weight = pop()
+        top = tops[m]
+        one = ((S | top) - P - ones[m]) & top == top
+        kept[m] += one
+        if m + 1 < n:
+            shift = width * m
+            push((m + 1, bits, P << width, S | weight << shift, weight))
+            if one:
+                push((m + 1, bits | 1 << m, (P << width) + (ones[m + 1] ^ 1), S | (weight + 1) << shift, weight + 1))
+        elif leaves is not None:
+            leaves.append(bits)
+            if one:
+                leaves.append(bits | 1 << m)
+    return kept
 
 
 def lr_level(n: int) -> list[int]:
+    check_length(n)
     level: list[int] = []
-    for _, level in iter_lr_levels(n):
-        pass
+    _walk(n, level)
+    level.sort()
     return level
+
+
+def iter_lr_levels(n_max: int):
+    """Yield (m, level) for m = 0..n_max; a level is the increasing list of
+    packed least representatives of length m, up to the word cap.  Like any
+    generator, it checks n_max against the cap at the first `next`.
+
+    Prepending 0 keeps a least representative, and least representatives are
+    suffix-closed, so level m is the part of level n_max below 2^m."""
+    level = lr_level(n_max)
+    for m in range(n_max):
+        yield m, level[: bisect_left(level, 1 << m)]
+    yield n_max, level
 
 
 def enumerate_least_representatives(n: int):
@@ -146,8 +196,17 @@ def enumerate_least_representatives(n: int):
 
 
 def count_least_representatives(n_max: int) -> list[int]:
-    """Class counts per length; entry [n] is the number of length-n classes."""
-    return [len(level) for _, level in iter_lr_levels(n_max)]
+    """Class counts per length; entry [n] is the number of length-n classes.
+    Length m + 1 has one class per length-m class, plus one per kept 1-prepend."""
+    check_length(n_max)
+    return list(accumulate(_walk(n_max, None), initial=1))
+
+
+def count_one_prepends(n_max: int) -> list[int]:
+    """Entry [m] is the number of least representatives of length m whose
+    1-prepend is one too, for m = 0..n_max; no level is held."""
+    check_length(n_max)
+    return _walk(n_max + 1, None)
 
 
 # --- full partition of one length ------------------------------------------

@@ -13,6 +13,7 @@ from .words import Profile, Word
 
 BRUTE_LIMIT = 16
 BRUTE_COLLAPSE_LIMIT = 14
+BRUTE_FACTOR_LIMIT = 256
 
 
 def _count_ones(w: Word, i: int, j: int) -> int:
@@ -20,8 +21,9 @@ def _count_ones(w: Word, i: int, j: int) -> int:
 
 
 def brute_max_ones(w: Word) -> Profile:
-    """Scan every factor of every length and keep the best count."""
-    n = len(w)
+    """Scan every factor of every length and keep the best count.  The scan is
+    cubic in the length, so it checks the length against BRUTE_FACTOR_LIMIT."""
+    n = check_length(len(w), BRUTE_FACTOR_LIMIT, kind="brute factor scan")
     best = [0] * (n + 1)
     for k in range(1, n + 1):
         for i in range(1, n - k + 2):

@@ -247,6 +247,16 @@ class TestWord:
         _, brute, _ = run(["word", "101101", "--oracle"])
         assert fast == brute
 
+    def test_oracle_factor_scan_cap(self, monkeypatch):
+        # the oracle's factor scan is cubic, so it has a fixed cap, which PNLAB_MAX_N does not move
+        monkeypatch.setenv("PNLAB_MAX_N", "300")
+        cap = oracle.BRUTE_FACTOR_LIMIT
+        word = ("1101100" * cap)[:cap]
+        code, out, _ = run(["word", word, "--f", "--oracle"])
+        assert (code, out) == run(["word", word, "--f"])[:2]
+        code, out, err = run(["word", word + "1", "--f", "--oracle"])
+        assert (code, out) == (3, "") and f"exceeds the limit of {cap}" in err
+
     def test_collapse_info(self):
         code, out, _ = run(["word", "0011", "--collapse"])
         assert code == 0
@@ -488,6 +498,18 @@ class TestProcess:
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 0
         assert err == ""
+
+
+class TestJobs:
+    @pytest.mark.parametrize(
+        "argv", [["sequence", "pn-count", "12"], ["sequence", "collapse-classes", "12"], ["enumerate", "12"]]
+    )
+    def test_output_ignores_jobs(self, argv):
+        # --jobs is accepted and ignored, zero and negative values too
+        plain = run(argv)
+        assert plain[0] == 0 and plain[1]
+        for jobs in ("0", "-2"):
+            assert run([*argv, "--jobs", jobs]) == plain
 
 
 class TestEnvLimit:

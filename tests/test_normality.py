@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from pnlab import oracle
@@ -12,11 +14,14 @@ from pnlab.normality import (
     class_members,
     class_partition,
     count_least_representatives,
+    count_one_prepends,
     enumerate_least_representatives,
+    extends_by_one,
     is_least_representative,
     is_prefix_normal,
     is_suffix_normal,
     iter_class_partitions,
+    iter_lr_levels,
     least_representative,
     lr_level,
     pn_equivalent,
@@ -24,6 +29,13 @@ from pnlab.normality import (
 )
 from pnlab.palindromes import count_prefix_normal_palindromes, enumerate_prefix_normal_palindromes
 from pnlab.words import Word, max_ones, parse_word
+
+
+# OEIS A194850: the number of prefix normal words, so of classes, of length n
+A194850 = [
+    1, 2, 3, 5, 8, 14, 23, 41, 70, 125, 218, 395, 697, 1273, 2279, 4185, 7568,
+    13997, 25500, 47414, 87024, 162456, 299947, 562345, 1043212,
+]
 
 
 def all_words(n):
@@ -190,6 +202,44 @@ class TestEnumeration:
                 else:
                     assert not is_suffix_normal(w.prepend(0))
                     assert not is_suffix_normal(w.prepend(1))
+
+
+class TestWalk:
+    def test_counts_are_a194850(self):
+        assert count_least_representatives(24) == A194850
+
+    def test_one_prepends_match_the_single_word_test(self):
+        # extends_by_one reads each word's letters, not the walk's packed counts
+        expected = [sum(extends_by_one(bits, m) for bits in lr_level(m)) for m in range(17)]
+        assert count_one_prepends(16) == expected
+
+    def test_every_depth_is_its_level(self):
+        levels = list(iter_lr_levels(14))
+        assert [m for m, _ in levels] == list(range(15))
+        for m, level in levels:
+            assert level == lr_level(m)
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 17])
+    def test_width_holds_the_longest_tested_node(self, n):
+        # the deepest node tested is 1^(n-1), with s(n-1) = n - 1 a power of two here:
+        # a field one bit narrower holds it in its top bit and loses 1^n
+        level = lr_level(n)
+        assert len(level) == A194850[n] and level[-1] == (1 << n) - 1
+        assert count_least_representatives(n)[n] == A194850[n]
+        assert count_one_prepends(n - 1)[n - 1] == A194850[n] - A194850[n - 1]
+
+    def test_counts_hold_no_level(self):
+        def peak(build):
+            tracemalloc.start()
+            try:
+                build(16)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        level_peak = peak(lr_level)
+        assert peak(count_least_representatives) * 10 < level_peak
+        assert peak(count_one_prepends) * 10 < level_peak
 
 
 class TestPartition:

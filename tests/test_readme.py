@@ -57,6 +57,7 @@ def test_limits_paragraph_matches_the_caps(monkeypatch):
     assert f"tries the {len(lr_level(half))} least representatives of that length, not all `2^{half}` halves" in text
     assert f"`BRUTE_LIMIT` = {oracle.BRUTE_LIMIT}" in text
     assert f"`BRUTE_COLLAPSE_LIMIT` = {oracle.BRUTE_COLLAPSE_LIMIT}" in text
+    assert f"`BRUTE_FACTOR_LIMIT` = {oracle.BRUTE_FACTOR_LIMIT}" in text
     assert f"one below the word cap, at {max_word_length() - 1} by default" in text
 
 
