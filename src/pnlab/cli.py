@@ -32,7 +32,6 @@ from .words import (
 
 SEQUENCE_NAMES = ("pn-count", "npal", "collapse-classes", "max-class-size")
 JOBS_HELP = "ignored: every command runs in one process"
-ENGINE_HELP = "brute (the default) groups by the 1-prepend profile, band searches each extender's profile band"
 
 
 # --- sequence ---------------------------------------------------------------
@@ -208,7 +207,7 @@ def cmd_collapse_classes(args) -> int:
             for group in oracle.brute_collapse_partition(args.n)
         ]
     else:
-        classes = collapse.collapse_classes(args.n, engine=args.engine or "brute")
+        classes = collapse.collapse_classes(args.n)
     for cls in classes:
         members = [str(v) for v in cls.members]  # extender first
         print(json.dumps({"extender": members[0], "members": members, "size": cls.size, "bound": cls.bound}))
@@ -313,11 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cc = sub.add_parser("collapse-classes", help="collapse classes as JSON lines")
     p_cc.add_argument("n", type=length)
-    engine = p_cc.add_mutually_exclusive_group()
-    # no default: argparse tells a given `--engine` from an absent one by identity with the default
-    engine.add_argument("--engine", choices=("brute", "band"), help=ENGINE_HELP)
-    engine.add_argument("--oracle", action="store_true", help="use the brute-force engine")
     p_cc.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
+    p_cc.add_argument("--oracle", action="store_true", help="use the brute-force engine")
     p_cc.set_defaults(func=cmd_collapse_classes)
 
     p_bounds = sub.add_parser("bounds", help="index bounds per length as CSV")

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ import pytest
 
 import pnlab
 from pnlab import oracle, verify
-from pnlab.cli import build_parser, main
+from pnlab.cli import SEQUENCE_NAMES, build_parser, main
+from pnlab.limits import max_palindrome_length, max_partition_length, max_word_length
 
 SRC = str(Path(pnlab.__file__).resolve().parents[1])
 
@@ -22,6 +24,24 @@ def run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def outcome(argv):
+    """Like run, with argparse's SystemExit read as the exit code it carries."""
+    out = io.StringIO()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def commands():
+    """The subcommand parsers of `pnlab`, by name."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
 
 
 def spawn(argv, **kwargs):
@@ -372,15 +392,21 @@ class TestCollapseClasses:
         zeros = next(r for r in records if r["extender"] == "0000")
         assert zeros["bound"] is None
 
-    def test_band_engine_same_output(self):
-        _, brute, _ = run(["collapse-classes", "9"])
-        _, band, _ = run(["collapse-classes", "9", "--engine", "band"])
-        assert brute == band
-
     def test_oracle_engine_same_output(self):
         _, fast, _ = run(["collapse-classes", "8"])
         _, brute, _ = run(["collapse-classes", "8", "--oracle"])
         assert fast == brute
+
+    def test_band_search_counts_match_the_sequence(self):
+        # `verify collapstheo` is the CLI's route to the band search; its class counts must be
+        # the kept 1-prepends plus one that `sequence collapse-classes` prints (lexsmall theorem)
+        code, out, _ = run(["verify", "collapstheo", "12"])
+        assert code == 0
+        band = [line.removeprefix("PASS n=").replace(" classes=", ",") for line in out.splitlines()]
+        code, out, _ = run(["sequence", "collapse-classes", "12"])
+        assert code == 0
+        assert band == out.splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in band] == list(range(1, 13))
 
 
 class TestBounds:
@@ -454,14 +480,12 @@ class TestNegativeLength:
             ["collapse-classes", "-1"],
             ["bounds", "-1"],
             ["enumerate", "3", "--pnpals", "--classes"],
-            ["collapse-classes", "3", "--engine", "band", "--oracle"],
-            ["collapse-classes", "3", "--engine", "brute", "--oracle"],
+            ["collapse-classes", "3", "--engine", "band"],
         ],
     )
     def test_usage_error(self, argv):
-        with pytest.raises(SystemExit) as exc:
-            run(argv)
-        assert exc.value.code == 2
+        code, out, _ = outcome(argv)
+        assert (code, out) == (2, "")
 
     def test_non_integer_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -471,14 +495,15 @@ class TestNegativeLength:
 
 def test_every_option_has_help():
     # a lint: `pnlab <command> --help` explains every flag it lists
-    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     bare = [
         f"{name} {action.option_strings[-1]}"
-        for name, parser in commands.choices.items()
+        for name, parser in commands().items()
         for action in parser._actions
         if action.option_strings and not action.help
     ]
     assert bare == []
+    # the band search is a library engine, reached from the CLI through `verify collapstheo`
+    assert "--engine" not in commands()["collapse-classes"]._option_string_actions
 
 
 class TestProcess:
@@ -567,3 +592,73 @@ class TestEnvLimit:
         code, _, err = run(["enumerate", "3"])
         assert code == 2
         assert "PNLAB_MAX_N" in err
+
+
+class TestContract:
+    """The CLI contract on seeded, generated command lines (README: exit codes, caps, --oracle, --jobs)."""
+
+    SUITES = sorted(verify.CHECKS)
+    FLAGS = [a.option_strings[0] for a in commands()["word"]._actions if a.dest not in ("help", "word", "oracle")]
+
+    @staticmethod
+    def word(rng, n):
+        letters = [rng.choice("01") for _ in range(n)]
+        if rng.random() < 0.15:
+            letters.insert(rng.randint(0, n), rng.choice("2a "))
+        return "".join(letters)
+
+    def draw(self, rng, monkeypatch):
+        """Set PNLAB_MAX_N and return an argv and its length (for `word`, the word's)."""
+        env = rng.choice([*map(str, range(10)), "x", "-1", None])
+        if env is None:
+            monkeypatch.delenv("PNLAB_MAX_N", raising=False)
+        else:
+            monkeypatch.setenv("PNLAB_MAX_N", env)
+        if env is not None and env.isdecimal():
+            caps = {max_word_length() - 1, max_word_length(), max_palindrome_length(), max_partition_length()}
+            lengths = [-1, 0, *(cap + step for cap in caps for step in (-1, 0, 1))]
+        else:
+            # a run at a default cap (24, 34, 20) takes seconds, so only lengths that do no work: 35 is over them all
+            lengths = [-1, 0, 35]
+        n = rng.choice(lengths)
+        command = rng.choice(["sequence", "verify", "word", "enumerate", "collapse-classes", "bounds", "jpm"])
+        if command == "sequence":
+            return ["sequence", rng.choice(SEQUENCE_NAMES), str(n)], n
+        if command == "verify":
+            return ["verify", rng.choice(self.SUITES), str(n)], n
+        if command == "enumerate":
+            return ["enumerate", str(n), *rng.choice([[], ["--pnpals"], ["--classes"]])], n
+        if command == "collapse-classes":
+            return ["collapse-classes", str(n), *rng.choice([[], [], ["--engine", "band"]])], n
+        if command == "bounds":
+            return ["bounds", str(n)], n
+        if command == "jpm":
+            w = self.word(rng, rng.randint(0, 10))
+            k = rng.randint(-1, len(w) + 1)
+            return ["jpm", w, "--query", f"{k},{rng.randint(-1, k + 1)}"], len(w)
+        n = rng.choice([rng.randint(0, 10), rng.randint(257, 300)])
+        return ["word", self.word(rng, n), *rng.sample(self.FLAGS, rng.choice([0, 1, 2]))], n
+
+    @staticmethod
+    def check(argv):
+        code, out, err = outcome(argv)
+        assert code in (0, 1, 2, 3), (argv, err)
+        if code in (2, 3):
+            assert out == "" and "error:" in err.splitlines()[-1], (argv, out, err)
+        if code == 0:
+            assert err == "", (argv, err)
+        return code, out, err
+
+    def test_generated_command_lines(self, monkeypatch):
+        rng = random.Random(18)
+        for _ in range(300):
+            argv, n = self.draw(rng, monkeypatch)
+            code, out, err = self.check(argv)
+            if argv[0] in ("sequence", "enumerate", "collapse-classes"):
+                assert outcome([*argv, "--jobs", str(rng.randint(-3, 8))]) == (code, out, err), argv
+            if argv[0] in ("sequence", "enumerate", "collapse-classes", "word"):
+                # the oracle runs where it is cheap: short enough to agree, or over its caps (14, 16 and 256)
+                if code == 0 and n <= 10:
+                    assert self.check([*argv, "--oracle"]) == (0, out, ""), argv
+                elif n > oracle.BRUTE_LIMIT:
+                    self.check([*argv, "--oracle"])
