@@ -6,8 +6,8 @@ run at desk scale; the environment variable PNLAB_MAX_N raises or lowers
 it.  The palindrome cap follows it with fixed headroom above, but stays
 within twice the word cap: a palindrome of length n mirrors a least
 representative of length ceil(n/2), whose level must fit under the word
-cap.  The cap of full-space operations, which call max_ones on every one
-of the 2^n words, follows it with fixed headroom below.
+cap.  The cap of full-space operations, which walk every one of the 2^n
+words, follows it with fixed headroom below.
 """
 
 import os

@@ -20,6 +20,13 @@ O(n) memory, with no level held.  The questions about 1·w read the same
 counts p and s of w: the walk tests p(k) < s(k+1) on all fields at
 once, `extends_by_one` asks it of one word, and `prepend_one_profile`
 is the profile of 1·w (the collapse key).
+
+The partition of all 2^n words by profile is a second depth-first walk,
+of the tree that appending letters makes of all words.  It carries each
+node's suffix counts and profile so far as packed ints, in the field width
+of max_ones (`words.field_constants`), so no word goes through max_ones; a
+leaf's packed profile is its class key, unpacked once per class, and
+`class_members` is the same walk cut by one profile.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from itertools import accumulate
 from operator import lt
 
 from .limits import check_length, max_partition_length
-from .words import Profile, Word, letters, max_ones, prefix_ones, suffix_ones
+from .words import Profile, Word, field_constants, letters, max_ones, prefix_ones, suffix_ones
 
 
 def is_prefix_normal(w: Word) -> bool:
@@ -64,36 +71,6 @@ def prefix_normal_form(w: Word) -> Word:
 def least_representative(w: Word) -> Word:
     """The unique suffix normal word sharing w's max-ones profile."""
     return prefix_normal_form(w).reverse()
-
-
-def class_members(w: Word) -> list[Word]:
-    """All words with w's profile, in lexicographic order.
-
-    Candidates are grown letter by letter, pruned when the running prefix
-    count leaves the feasible range, and verified exactly at full length.
-    """
-    n = len(w)
-    check_length(n, kind="class materialization")
-    f = max_ones(w)
-    total = f[n]
-    out: list[Word] = []
-
-    def extend(value: int, i: int, ones: int) -> None:
-        if i == n:
-            cand = Word(n, value)
-            if max_ones(cand) == f:
-                out.append(cand)
-            return
-        for b in (0, 1):
-            o = ones + b
-            if o > f[i + 1]:
-                continue
-            if total - o > f[n - i - 1]:
-                continue
-            extend((value << 1) | b, i + 1, o)
-
-    extend(0, 0, 0)
-    return out
 
 
 # --- least representatives by a depth-first walk -------------------------
@@ -139,15 +116,15 @@ def _walk(n: int, leaves: list[int] | None) -> list[int]:
     in 0..2^B - 1: w is suffix normal, so p(i) <= s(i) <= s(i+1) and the value is
     at least 2^(B-1) - 1, and s(i+1) <= m < 2^(B-1) keeps it below 2^B and lets
     the OR with the top bits add them.  So no field borrows, given the width
-    rule: B is the least width with 2^(B-1) > n - 1, the longest tested length.
+    rule of `field_constants` for n - 1, the longest tested length.
     """
     kept = [0] * n
     if not n:
         if leaves is not None:
             leaves.append(0)
         return kept
-    width = (n - 1).bit_length() + 1
-    ones = [((1 << width * m) - 1) // ((1 << width) - 1) for m in range(n + 1)]  # 1 in m fields
+    width, all_ones, _ = field_constants(n - 1)
+    ones = [all_ones >> width * (n - 1 - m) for m in range(n)]  # 1 in m fields
     tops = [o << width - 1 for o in ones]
     stack = [(0, 0, 0, 0, 0)]
     pop, push = stack.pop, stack.append
@@ -212,6 +189,80 @@ def count_one_prepends(n_max: int) -> list[int]:
 # --- full partition of one length ------------------------------------------
 
 
+def _profile_walk(n: int, materialize: bool, target: Profile | None = None) -> dict:
+    """Group the words of length n by packed profile, in lexicographic order:
+    each group is the list of its packed members when materialize, else a count.
+
+    A node w of length m is (m, bits, S, F, weight), with s(j+1) in field j of
+    S and f(j+1) in field j of F, in n fields of B bits (`field_constants(n)`).
+    Appending a gives s'(k) = a + s(k-1) and f'(k) = max(f(k), s'(k)), so
+    S' = (S << B) + a·ones(m+1) and F' is the fieldwise max of F and S': for
+    a = 0 it is F with the weight in field m, as s(k-1) <= f(k-1) <= f(k); for
+    a = 1 one biased subtract marks the fields where F >= S'.  Leaves are taken
+    from their parent at depth n - 1 and never pushed.
+
+    With a target profile t, a 1-child is cut when a field of F passes t, since
+    F never decreases (a 0-child's one new field, its weight, is at most t(m+1)),
+    and a 0-child when its weight is under t(n) - t(n-m-1), as its last n-m-1
+    letters hold at most t(n-m-1) ones (a 1-child meets that when its parent
+    did).  Without one the bound is n in every field and nothing is cut.
+    """
+    if not n:
+        return {0: [0] if materialize else 1}
+    width, all_ones, tops = field_constants(n)
+    ones = [all_ones >> width * (n - m) for m in range(n + 1)]  # 1 in m fields
+    lane = (1 << width) - 1
+    if target is None:
+        bound, least = n * all_ones, [0] * (n + 1)
+    else:
+        bound, least = _packed(target, width), [target[n] - v for v in reversed(target)]
+    bound |= tops
+    groups: dict = {}
+    get = groups.get
+    stack = [(0, 0, 0, 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        m, bits, S, F, weight = pop()
+        bits <<= 1
+        S1 = (S << width) + ones[m + 1]
+        mask = ((((F | tops) - S1) & tops) >> width - 1) * lane  # fields where F >= S1
+        F1 = F & mask | S1 & ~mask
+        F0 = F | weight << width * m
+        one = (bound - F1) & tops == tops
+        zero = weight >= least[m + 1]
+        if m + 1 < n:
+            if one:
+                push((m + 1, bits | 1, S1, F1, weight + 1))
+            if zero:
+                push((m + 1, bits, S << width, F0, weight))
+        elif materialize:
+            if zero:
+                groups.setdefault(F0, []).append(bits)
+            if one:
+                groups.setdefault(F1, []).append(bits | 1)
+        else:
+            if zero:
+                groups[F0] = get(F0, 0) + 1
+            if one:
+                groups[F1] = get(F1, 0) + 1
+    return groups
+
+
+def _packed(f: Profile, width: int) -> int:
+    """f(1..n) in fields of the given width, field j holding f(j+1)."""
+    return sum(v << width * j for j, v in enumerate(f[1:]))
+
+
+def class_members(w: Word) -> list[Word]:
+    """All words with w's profile, in lexicographic order: the leaves of the
+    profile walk cut by w's profile whose packed profile equals it."""
+    n = len(w)
+    check_length(n, kind="class materialization")
+    f = max_ones(w)
+    group = _profile_walk(n, True, f)[_packed(f, field_constants(n)[0])]  # w is one of them
+    return [Word(n, v) for v in group]
+
+
 @dataclass(frozen=True)
 class PnClass:
     signature: Profile
@@ -233,24 +284,24 @@ class ClassPartition:
 def class_partition(n: int, materialize: bool = False) -> ClassPartition:
     """Partition all 2^n words by max-ones profile.
 
-    Scans the full space, so it is far more expensive than the level
+    Walks the full space, so it is far more expensive than the level
     construction; sizes and optional member lists are what it buys.
+    Without materialize each class is counted, and no member is held.
     It has its own cap, the partition cap.
     """
     check_length(n, max_partition_length(), kind="partition")
-    buckets: dict[Profile, list[int]] = {}
-    for value in range(1 << n):
-        sig = max_ones(Word(n, value))
-        buckets.setdefault(sig, []).append(value)
+    width = field_constants(n)[0]
+    lane = (1 << width) - 1
     classes: dict[Profile, PnClass] = {}
-    for sig, values in buckets.items():
+    for key, group in _profile_walk(n, materialize).items():
+        sig = (0, *((key >> width * j) & lane for j in range(n)))
         npf = profile_increments_word(sig)
         classes[sig] = PnClass(
             signature=sig,
             npf=npf,
             lr=npf.reverse(),
-            size=len(values),
-            members=tuple(Word(n, v) for v in values) if materialize else None,
+            size=len(group) if materialize else group,
+            members=tuple(Word(n, v) for v in group) if materialize else None,
         )
     return ClassPartition(n=n, classes=classes)
 

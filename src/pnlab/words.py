@@ -17,7 +17,8 @@ keeps leading zeros.  `str` and `reversed_bits` read it, max_ones writes it
 into its fields, and `letters` turns it into bytes of value 0 or 1.
 
 max_ones is word-parallel.  It packs p(1..n) into n fields of B bits of one
-int P, field j holding p(n - j), with B chosen so that 2^(B-1) > n.  For
+int P, field j holding p(n - j), with B chosen so that 2^(B-1) > n
+(`field_constants` gives B and the masks, for normality's walks too).  For
 each length k, P - (P >> B·k) holds every window count of length k at
 once: p never decreases, so no field borrows, and the fields past n - k
 hold counts of prefixes shorter than k, which never exceed v(k-1).  The
@@ -159,6 +160,20 @@ def reversed_bits(bits: int, n: int) -> int:
     return int("0" + _digits(bits, n)[::-1], 2)
 
 
+def field_constants(n: int) -> tuple[int, int, int]:
+    """(B, ones, tops) for n packed fields that hold values 0..n.
+
+    B is the least width with 2^(B-1) > n.  Then 2^(B-1) + x - y lies in
+    1..2^B - 1 for any x and y in 0..n, so (X | tops) - Y takes every
+    field's difference at once without a borrow, and the field's top bit
+    tells whether x >= y.  ones has 1 in each of the n fields and tops has
+    their top bits.  It is the one place the width rule is written.
+    """
+    width = n.bit_length() + 1
+    ones = ((1 << width * n) - 1) // ((1 << width) - 1)
+    return width, ones, ones << width - 1
+
+
 def max_ones(w: Word) -> Profile:
     """Most 1s per factor length, by one word-parallel unit-step test per length.
 
@@ -173,7 +188,7 @@ def max_ones(w: Word) -> Profile:
     n = w.n
     if not n:
         return (0,)
-    width = n.bit_length() + 1
+    width, ones, tops = field_constants(n)
     fields = bytearray(b"0") * (width * n)
     fields[width - 1 :: width] = _digits(w.bits, n).encode()
     # field n - i holds letter i, read by int() from ASCII digits; adding
@@ -184,8 +199,6 @@ def max_ones(w: Word) -> Profile:
     while shift < width * n:
         packed += packed >> shift
         shift <<= 1
-    ones = ((1 << width * n) - 1) // ((1 << width) - 1)  # 1 in every field
-    tops = ones << (width - 1)
     biased = packed + tops - ones  # each field + 2^(B-1) - 1 - v(k-1)
     out = [0]
     best = 0

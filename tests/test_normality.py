@@ -132,6 +132,13 @@ class TestClassMembers:
                     # the per-word oracle scan agrees with the partition group
                     assert oracle.brute_class_members(w) == members
 
+    def test_matches_the_partition(self):
+        # past the oracle's range, every word's walk cut by its profile finds its partition class
+        for n in range(0, 13):
+            classes = class_partition(n, materialize=True).classes
+            for w in all_words(n):
+                assert class_members(w) == list(classes[max_ones(w)].members)
+
     def test_limit(self):
         with pytest.raises(LimitExceededError):
             class_members(Word(25, 0))
@@ -263,3 +270,45 @@ class TestPartition:
         for n in range(0, 11):
             part = class_partition(n)
             assert sum(cls.size for cls in part) == 2**n
+
+    def test_counts_past_the_oracle(self):
+        for n in range(9, 15):
+            part = class_partition(n)
+            assert len(part.classes) == A194850[n]
+            assert sum(cls.size for cls in part) == 2**n
+
+    def test_groups_equal_the_max_ones_grouping(self):
+        # max_ones reads each word's letters, not the walk's packed counts
+        groups = {}
+        for w in all_words(13):
+            groups.setdefault(max_ones(w), []).append(w)
+        part = class_partition(13, materialize=True)
+        assert list(part.classes) == list(groups)
+        for sig, members in groups.items():
+            cls = part.classes[sig]
+            assert list(cls.members) == members and cls.size == len(members)
+            assert cls.npf == max(members) and cls.lr == min(members)
+
+    @pytest.mark.parametrize("n", [7, 8, 15, 16])
+    def test_width_holds_the_longest_word(self, n):
+        # fields hold values up to n: 7 and 15 are the longest lengths of widths 4 and 5,
+        # 8 and 16 the shortest of widths 5 and 6, so one bit less misreads the top classes
+        part = class_partition(n)
+        assert len(part.classes) == A194850[n]
+        assert sum(cls.size for cls in part) == 2**n
+        top = part.classes[tuple(range(n + 1))]
+        assert top.size == 1 and top.npf == Word.ones(n)
+        below = part.classes[(*range(n), n - 1)]  # 1^(n-1)·0 and 0·1^(n-1)
+        assert below.size == 2 and below.lr == Word(n, (1 << n - 1) - 1)
+
+    def test_counts_hold_no_members(self):
+        def peak(materialize):
+            tracemalloc.start()
+            try:
+                class_partition(14, materialize)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # both hold the 2279 classes; only materialize holds the 2^14 words
+        assert peak(False) * 2 < peak(True)
