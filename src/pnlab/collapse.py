@@ -12,17 +12,17 @@ Classes can be computed two ways:
 * engine "brute": group least representatives by the profile after
   prepending 1 (the defining property, read off the prefix and suffix
   counts in O(n) by `normality.prepend_one_profile`).
-* engine "band": for each extender, derive the band of profiles its
-  collapsers may have.  The band's top is the extender's own profile;
-  its bottom starts from the word obtained by rotating a 1 in at the
-  front (reverse of 1·w[1..n-1]) and is then lifted wherever the two
-  profiles differ on only one side of a mirror pair (i, n-i+1), because
-  collapsers that are least representatives differ from the top profile
-  symmetrically.  Every subset of the open mirror pairs lowers the top
-  by one on its units.  The top is the extender's suffix counts, so
-  lowering it at i moves a 1 of the extender one step left, from
-  position n+1-i to n-i; each candidate is the extender with those
-  letters moved, kept after a direct collapse check.
+* engine "band": for each extender w, the band of profiles its
+  collapsers may have is w's suffix counts (its profile) over
+  `adjusted_lower_band(w)`.  The bottom starts from the word obtained by
+  rotating a 1 in at the front (reverse of 1·w[1..n-1]) and is lifted
+  wherever the two profiles differ on only one side of a mirror pair
+  (i, n-i+1), because collapsers that are least representatives differ
+  from the top profile symmetrically.  Every subset of the open mirror
+  pairs lowers the top by one on its units: lowering the suffix counts
+  at i moves a 1 of the extender one step left, from position n+1-i to
+  n-i; each candidate is the extender with those letters moved, kept
+  after a direct collapse check.
 
 Both engines must agree; the test suites compare them exhaustively.
 Either way a class is a `CollapseClass`: its members as packed ints,
@@ -84,29 +84,23 @@ def lower_band_word(w: Word) -> Word:
     if w.bits == 0:
         raise ValueError("zero-weight words have no collapse band")
     if not extends_to_lr(w):
-        raise ValueError(f"{w} collapses with a smaller least representative")
+        raise ValueError(f"{w} does not extend to a least representative")
     return Word(n, w.bits >> 1 | 1 << n - 1).reverse()
 
 
-def adjusted_lower_band(w: Word, u: Word) -> Profile:
-    """Lift the band bottom to the profiles least-representative collapsers can reach.
+def adjusted_lower_band(w: Word) -> Profile:
+    """The bottom of the extender's band; its top is w's suffix counts (w's profile).
 
-    Wherever u's profile drops below w's on exactly one position of a
-    mirror pair (i, n-i+1), the dropped side is raised back, since
-    collapsers that are least representatives drop symmetrically.  The
-    result bounds all such collapsers from below; it is not itself
-    guaranteed to belong to a collapsing word.
+    Start from the profile of `lower_band_word(w)`, which collapses with w,
+    and wherever it drops below w's on exactly one position of a mirror
+    pair (i, n-i+1), raise the dropped side back, since collapsers that
+    are least representatives drop symmetrically.  The result bounds all
+    such collapsers from below; it is not itself guaranteed to belong to a
+    collapsing word.
     """
-    if not extends_to_lr(w):
-        raise ValueError(f"{w} does not extend to a least representative")
-    if not collapses(w, u):
-        raise ValueError(f"{u} does not collapse with {w}")
-    return _lift(suffix_ones(w), max_ones(u))  # w is suffix normal: s is its profile
-
-
-def _lift(fw: Profile, fu: Profile) -> Profile:
-    """`adjusted_lower_band` on the two profiles, inputs already checked."""
-    n = len(fw) - 1
+    fu = max_ones(lower_band_word(w))  # validates w, so w's profile is its suffix counts
+    fw = suffix_ones(w)
+    n = len(w)
     g = list(fu)
     for i in range(1, n + 1):
         if fu[i] not in (fw[i], fw[i] - 1):
@@ -114,24 +108,6 @@ def _lift(fw: Profile, fu: Profile) -> Profile:
         if fu[i] != fw[i] and fu[n - i + 1] == fw[n - i + 1]:
             g[i] += 1
     return tuple(g)
-
-
-@dataclass(frozen=True)
-class BandSpec:
-    """Profile band for one extender: all collapser profiles live inside."""
-
-    upper: Profile
-    lower: Profile
-    free_positions: frozenset[int]  # i of each open mirror unit {i, n-i+1}, odd middle included
-
-
-def band_spec(w: Word) -> BandSpec:
-    u = lower_band_word(w)  # validates w, so w's profile is its suffix counts
-    upper = suffix_ones(w)
-    lower = _lift(upper, max_ones(u))  # u always collapses with w
-    n = len(w)
-    free = frozenset(i for i in range(1, (n + 1) // 2 + 1) if lower[i] != upper[i])
-    return BandSpec(upper=upper, lower=lower, free_positions=free)
 
 
 def validate_lr_profile(s: Profile) -> bool:
@@ -154,16 +130,19 @@ def validate_lr_profile(s: Profile) -> bool:
 def candidate_collapsers(w: Word) -> list[Word]:
     """All least representatives other than w that collapse with the extender w.
 
-    A candidate lowers the band top, w's suffix counts, by one on a subset
-    of the open mirror units: lowering at i moves a 1 of w from bit i-1 to
+    The band is w's suffix counts over `adjusted_lower_band(w)`; a mirror
+    unit is open where the two differ.  A candidate lowers the band top by
+    one on a subset of the open units: lowering at i moves a 1 of w from bit i-1 to
     bit i of the packed value.  A subset that moves a letter w lacks would
     leave unit steps and is skipped; a candidate is kept when it is suffix
     normal (its suffix counts are the lowered profile) with w's `prepend_one_profile`.
     """
     n = len(w)
     target = prepend_one_profile(w.bits, n)
-    # an odd middle unit is one bit; unit {1, n} is never open, so no move leaves the word
-    units = [1 << i - 1 | 1 << n - i for i in sorted(band_spec(w).free_positions)]
+    lower, upper = adjusted_lower_band(w), suffix_ones(w)
+    # unit {i, n-i+1} is open where the band's ends differ at i, up to the middle;
+    # an odd middle unit is one bit, and unit {1, n} is never open, so no move leaves the word
+    units = [1 << i - 1 | 1 << n - i for i in range(1, (n + 1) // 2 + 1) if lower[i] != upper[i]]
 
     found: list[Word] = []
     for subset in range(1, 1 << len(units)):

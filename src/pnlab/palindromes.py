@@ -60,7 +60,10 @@ def palindrome_from_tail(n: int, tail: int) -> Word:
 class PnPalRecord:
     n: int
     words: tuple[Word, ...]
-    count: int
+
+    @property
+    def count(self) -> int:
+        return len(self.words)
 
 
 def _palindromes_from_tails(n: int, tails: list[int]) -> tuple[Word, ...]:
@@ -81,8 +84,7 @@ def count_prefix_normal_palindromes(n: int) -> int:
 
 def enumerate_prefix_normal_palindromes(n: int) -> PnPalRecord:
     """All prefix normal palindromes of length n, lexicographically."""
-    words = _palindromes_of_length(n)
-    return PnPalRecord(n=n, words=words, count=len(words))
+    return PnPalRecord(n=n, words=_palindromes_of_length(n))
 
 
 def iter_prefix_normal_palindromes(n_max: int):

@@ -46,9 +46,12 @@ RANDOM_WORDS_PER_LENGTH = 500_000
 @dataclass
 class VerifyReport:
     name: str
-    ok: bool
     lines: list[str] = field(default_factory=list)
     counterexample: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.counterexample is None
 
 
 class Counterexample(Exception):
@@ -81,8 +84,8 @@ def suite(name: str, description: str):
                 for line in checked_lines(n_max):
                     lines.append(line)
             except Counterexample as exc:
-                return VerifyReport(name, False, lines, str(exc))
-            return VerifyReport(name, True, lines)
+                return VerifyReport(name, lines, str(exc))
+            return VerifyReport(name, lines)
 
         CHECKS[name] = (check, description)
         return check

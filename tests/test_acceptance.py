@@ -280,7 +280,7 @@ def test_c09_band_rows_reproduction():
     assert max_ones(w) == f_w
     u = lower_band_word(w)
     assert max_ones(u) == f_u
-    assert adjusted_lower_band(w, u) == f_hat
+    assert adjusted_lower_band(w) == f_hat
     print("ACCEPTANCE 9 PASS (length-17 band rows reproduced bit-exactly)")
 
 

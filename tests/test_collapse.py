@@ -5,7 +5,6 @@ import pytest
 from pnlab import collapse, normality, oracle, words
 from pnlab.collapse import (
     adjusted_lower_band,
-    band_spec,
     candidate_collapsers,
     class_size_bound,
     collapse_class,
@@ -127,35 +126,31 @@ class TestBand:
         assert max_ones(w) == F_W
         u = lower_band_word(w)
         assert max_ones(u) == F_U
-        assert adjusted_lower_band(w, u) == F_HAT
+        assert adjusted_lower_band(w) == F_HAT
 
     def test_adjustment_noop_when_symmetric(self):
         w, u = parse_word("0011"), parse_word("1001")
-        assert adjusted_lower_band(w, u) == max_ones(u)
+        assert adjusted_lower_band(w) == max_ones(u)
 
     def test_adjustment_preconditions(self):
         # 1001 is a least representative whose 1-prepend is not one
         with pytest.raises(ValueError, match="1001 does not extend"):
-            adjusted_lower_band(parse_word("1001"), parse_word("1001"))
-        with pytest.raises(ValueError, match="0101 does not collapse with 0011"):
-            adjusted_lower_band(parse_word("0011"), parse_word("0101"))
+            adjusted_lower_band(parse_word("1001"))
 
-    def test_band_spec_invariants(self):
+    def test_band_invariants(self):
         for n in range(1, 12):
             for w in enumerate_least_representatives(n):
                 if w.bits == 0 or not extends_to_lr(w):
                     continue
-                spec = band_spec(w)
-                assert all(spec.lower[i] <= spec.upper[i] for i in range(n + 1))
-                assert spec.lower[n] == spec.upper[n]
+                upper, lower = suffix_ones(w), adjusted_lower_band(w)
+                assert all(lower[i] <= upper[i] for i in range(n + 1))
+                assert lower[n] == upper[n]
                 if n >= 1:
-                    assert spec.lower[1] == spec.upper[1]
-                diffs = {i for i in range(1, n + 1) if spec.lower[i] != spec.upper[i]}
+                    assert lower[1] == upper[1]
+                diffs = {i for i in range(1, n + 1) if lower[i] != upper[i]}
                 assert {n - i + 1 for i in diffs} == diffs
-                # one entry per open mirror unit {i, n-i+1}, the odd middle included
-                assert spec.free_positions == {i for i in diffs if i <= (n + 1) // 2}
         # 101 collapses with 011 by lowering f(2), the middle of length 3
-        assert band_spec(parse_word("011")).free_positions == {2}
+        assert [str(v) for v in candidate_collapsers(parse_word("011"))] == ["101"]
 
     def test_band_contains_all_collapser_profiles(self):
         for n in range(1, 12):
@@ -166,10 +161,10 @@ class TestBand:
                 ext = members[0]
                 if ext.bits == 0:
                     continue
-                spec = band_spec(ext)
+                upper, lower = suffix_ones(ext), adjusted_lower_band(ext)
                 for v in members:
                     fv = max_ones(v)
-                    assert all(spec.lower[i] <= fv[i] <= spec.upper[i] for i in range(n + 1))
+                    assert all(lower[i] <= fv[i] <= upper[i] for i in range(n + 1))
 
 
 class TestLrProfileShape:

@@ -1,7 +1,7 @@
 import ast
 import importlib.util
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import pnlab
 from pnlab import cli, collapse, jpm, normality, palindromes, verify, words
@@ -21,6 +21,14 @@ def test_no_private_names_imported_across_modules():
                     if alias.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def test_all_lists_every_public_name():
+    # a name retired from a module must leave __all__ too; submodules are bound by import, not exported
+    bound = {
+        name for name, value in vars(pnlab).items() if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert sorted(pnlab.__all__) == sorted(bound)
 
 
 def test_no_public_function_takes_a_limit():
