@@ -27,6 +27,12 @@ Classes can be computed two ways:
 Both engines must agree; the test suites compare them exhaustively.
 Either way a class is a `CollapseClass`: its members as packed ints,
 extender first, with its size bound read off the extender.
+
+One word's class needs no level: by the lexsmall theorem its extender e
+is the least representative of 1·w with the leading 1 stripped, and by
+the band theorem the class is e with `candidate_collapsers(e)`
+(`collapse_class`).  The same theorem makes `recursive_lr_step` a
+1-prepend of every word that `extends_by_one`.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .normality import (
     extends_by_one,
     is_suffix_normal,
     iter_lr_levels,
+    least_representative,
     lr_level,
     prepend_one_profile,
 )
@@ -200,11 +207,25 @@ def iter_collapse_classes(n_max: int, engine: str = "brute"):
 
 
 def collapse_class(w: Word) -> tuple[Word, ...]:
-    """w's collapse class: the least representatives of length |w| with w's 1-prepend profile."""
+    """w's collapse class, extender first, read off the two collapse theorems
+    (`verify lexsmall`, `verify collapstheo`) without building the level.
+
+    By the lexsmall theorem the extender e of a class other than the
+    all-zeros one is the one member whose 1-prepend is a least
+    representative, and 1·e is profile equivalent to 1·w, so 1·e is
+    `least_representative(w.prepend(1))`.  By the band theorem the class is
+    e with `candidate_collapsers(e)`.
+    """
     n = check_length(len(w), kind="collapse partition")
     _require_lr(w)
-    key = prepend_one_profile(w.bits, n)
-    return tuple(Word(n, bits) for bits in lr_level(n) if prepend_one_profile(bits, n) == key)
+    if w.bits == 0:
+        return (w,)
+    top = least_representative(w.prepend(1))
+    e = Word(n, top.bits ^ 1 << n)
+    members = (e, *candidate_collapsers(e))
+    if w not in members:
+        raise RuntimeError(f"band construction lost {w} from its class")
+    return members
 
 
 def _level_classes(n: int, engine: str, level: list[int]) -> list[CollapseClass]:
@@ -238,9 +259,10 @@ def _level_classes(n: int, engine: str, level: list[int]) -> list[CollapseClass]
 def recursive_lr_step(lrs: list[Word]) -> list[Word]:
     """Least representatives of length n + 1 from the full set at length n.
 
-    Prepend 0 to everything; prepend 1 to each collapse-class extender,
-    except the all-zeros extender whose 1-prepend lands in the class of
-    an already produced 0-prepend.
+    Prepend 0 to everything, and 1 to each word that `extends_by_one`: by
+    the lexsmall theorem, the extender of every collapse class except the
+    all-zeros one, whose 1-prepend lands in the class of an already
+    produced 0-prepend.  At n = 0 the empty word extends, to 1.
     """
     if not lrs:
         raise ValueError("input must be the non-empty set of least representatives")
@@ -250,8 +272,8 @@ def recursive_lr_step(lrs: list[Word]) -> list[Word]:
     level = lr_level(n)
     if sorted(w.bits for w in lrs) != level:
         raise ValueError(f"input is not the set of least representatives of length {n}")
-    extenders = [c.packed[0] for c in _level_classes(n, "brute", level) if c.packed[0] or not n]
-    return [Word(n + 1, bits) for bits in level + [bits | 1 << n for bits in extenders]]
+    extended = [bits | 1 << n for bits in level if extends_by_one(bits, n)]
+    return [Word(n + 1, bits) for bits in level + extended]
 
 
 def palindromic_distance(w: Word) -> int:

@@ -241,10 +241,29 @@ class TestClasses:
             collapse_classes(4, "band")
 
     def test_one_class_matches_partition(self):
-        for n in range(0, 9):
+        for n in range(0, 15):
             for cls in collapse_classes(n):
                 for w in cls.members:
                     assert collapse_class(w) == cls.members
+
+    def test_one_class_builds_no_level(self, monkeypatch):
+        def no_level(*_):
+            raise AssertionError("collapse_class built a level")
+
+        for module in (collapse, normality):
+            monkeypatch.setattr(module, "lr_level", no_level)
+            monkeypatch.setattr(module, "iter_lr_levels", no_level)
+        members = collapse_class(parse_word("111000010000011010010111"))
+        assert ",".join(map(str, members)) == (
+            "110100010000011010001111,110100100000011100001111,111000010000011010010111,111000100000011100010111"
+        )
+
+    def test_one_class_rejects_a_band_that_loses_the_word(self, monkeypatch):
+        # 1001 is the non-extender of the class 0011,1001: a band without it must not pass as its class
+        monkeypatch.setattr(collapse, "candidate_collapsers", lambda e: [])
+        assert collapse_class(parse_word("0011")) == (parse_word("0011"),)
+        with pytest.raises(RuntimeError, match="lost 1001"):
+            collapse_class(parse_word("1001"))
 
     def test_extender_properties(self):
         for n in range(1, 12):
