@@ -10,8 +10,8 @@ profiles of all other members pointwise.
 Classes can be computed two ways:
 
 * engine "brute": group least representatives by the profile after
-  prepending 1 (the defining property, read off the prefix and suffix
-  counts in O(n) by `normality.prepend_one_profile`).
+  prepending 1 (the defining property), read off the level walk as one
+  packed int per word by `normality.prepend_one_groups`.
 * engine "band": for each extender w, the band of profiles its
   collapsers may have is w's suffix counts (its profile) over
   `adjusted_lower_band(w)`.  The bottom starts from the word obtained by
@@ -44,9 +44,9 @@ from .limits import UsageError, check_length
 from .normality import (
     extends_by_one,
     is_suffix_normal,
-    iter_lr_levels,
     least_representative,
     lr_level,
+    prepend_one_groups,
     prepend_one_profile,
 )
 from .words import Profile, Word, max_ones, suffix_ones
@@ -195,15 +195,35 @@ class CollapseClass:
 def collapse_classes(n: int, engine: str = "brute") -> list[CollapseClass]:
     """Partition the least representatives of length n by collapsing."""
     check_length(n, kind="collapse partition")
-    return _level_classes(n, engine, lr_level(n))
+    if engine == "brute":
+        return [CollapseClass(n, tuple(group)) for group in prepend_one_groups(n)]
+    if engine != "band":
+        raise ValueError(f"unknown engine {engine!r}")
+    level = lr_level(n)
+    claimed: set[int] = set()
+    classes: list[CollapseClass] = []
+    for bits in level:
+        if bits in claimed:
+            continue
+        packed = [bits]
+        if bits:
+            for v in candidate_collapsers(Word(n, bits)):
+                if v.bits in claimed or v.bits <= bits:
+                    raise RuntimeError(f"band engine produced an out-of-order collapser {v}")
+                packed.append(v.bits)
+        claimed.update(packed)
+        classes.append(CollapseClass(n, tuple(packed)))
+    if len(claimed) != len(level):
+        raise RuntimeError("band engine failed to cover every least representative")
+    return classes
 
 
 def iter_collapse_classes(n_max: int, engine: str = "brute"):
-    """Yield (n, collapse_classes(n, engine)) for n = 0..n_max, from one walk over
-    the levels.  Like any generator, it checks n_max against the cap at the first `next`."""
+    """Yield (n, collapse_classes(n, engine)) for n = 0..n_max.  Like any
+    generator, it checks n_max against the cap at the first `next`."""
     check_length(n_max, kind="collapse partition")
-    for n, level in iter_lr_levels(n_max):
-        yield n, _level_classes(n, engine, level)
+    for n in range(n_max + 1):
+        yield n, collapse_classes(n, engine)
 
 
 def collapse_class(w: Word) -> tuple[Word, ...]:
@@ -226,34 +246,6 @@ def collapse_class(w: Word) -> tuple[Word, ...]:
     if w not in members:
         raise RuntimeError(f"band construction lost {w} from its class")
     return members
-
-
-def _level_classes(n: int, engine: str, level: list[int]) -> list[CollapseClass]:
-    """The collapse classes of length n grouped by `engine`, from its level."""
-    if engine not in ("brute", "band"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "brute":
-        # the level is increasing, so groups come out sorted and in extender order
-        groups: dict[Profile, list[int]] = {}
-        for bits in level:
-            groups.setdefault(prepend_one_profile(bits, n), []).append(bits)
-        return [CollapseClass(n, tuple(vals)) for vals in groups.values()]
-    claimed: set[int] = set()
-    classes: list[CollapseClass] = []
-    for bits in level:
-        if bits in claimed:
-            continue
-        packed = [bits]
-        if bits:
-            for v in candidate_collapsers(Word(n, bits)):
-                if v.bits in claimed or v.bits <= bits:
-                    raise RuntimeError(f"band engine produced an out-of-order collapser {v}")
-                packed.append(v.bits)
-        claimed.update(packed)
-        classes.append(CollapseClass(n, tuple(packed)))
-    if len(claimed) != len(level):
-        raise RuntimeError("band engine failed to cover every least representative")
-    return classes
 
 
 def recursive_lr_step(lrs: list[Word]) -> list[Word]:

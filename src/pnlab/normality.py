@@ -19,7 +19,8 @@ touching the full 2^n space.  Counting needs only the walk's stack,
 O(n) memory, with no level held.  The questions about 1·w read the same
 counts p and s of w: the walk tests p(k) < s(k+1) on all fields at
 once, `extends_by_one` asks it of one word, and `prepend_one_profile`
-is the profile of 1·w (the collapse key).
+is the profile of 1·w (the collapse key), which the walk also packs
+into one int per leaf for `prepend_one_groups`.
 
 The partition of all 2^n words by profile is a second depth-first walk,
 of the tree that appending letters makes of all words.  It carries each
@@ -34,10 +35,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import lt
+from operator import itemgetter, lt
 
 from .limits import check_length, max_partition_length
-from .words import Profile, Word, field_constants, letters, max_ones, prefix_ones, suffix_ones
+from .words import Profile, Word, field_constants, fieldwise_max, letters, max_ones, prefix_ones, suffix_ones
 
 
 def is_prefix_normal(w: Word) -> bool:
@@ -77,8 +78,8 @@ def least_representative(w: Word) -> Word:
 #
 # A level is the increasing list of packed least representatives of one length.
 # The walk keeps (bits, P, S) only for the nodes on its stack: P and S pack the
-# prefix and suffix counts in fields of B bits, 2^(B-1) above the longest tested
-# length, so that one subtract tests a 1-prepend.  Levels are plain sorted ints.
+# prefix and suffix counts in fields of B bits, 2^(B-1) above the leaves' length,
+# so that one subtract tests a 1-prepend.  Levels are plain sorted ints.
 
 
 def prepend_one_profile(bits: int, n: int) -> Profile:
@@ -102,9 +103,10 @@ def extends_by_one(bits: int, m: int) -> bool:
     return all(map(lt, accumulate(x, initial=0), accumulate(x[::-1])))
 
 
-def _walk(n: int, leaves: list[int] | None) -> list[int]:
+def _walk(n: int, leaves: list[int] | None, groups: dict[int, list[int]] | None = None) -> list[int]:
     """Walk the least representatives shorter than n depth first, and append
-    those of length n to leaves, unless it is None.  Returns kept, where kept[m]
+    those of length n to leaves, or file them in groups under the packed key
+    of their `prepend_one_profile`, unless None.  Returns kept, where kept[m]
     counts the least representatives of length m whose 1-prepend is one, for m < n.
 
     A node is (m, bits, P, S, weight) for w = Word(m, bits): field i of P (B bits
@@ -115,17 +117,24 @@ def _walk(n: int, leaves: list[int] | None) -> list[int]:
     2^(B-1) + s(i+1) - p(i) - 1, whose top bit is that test, as long as it stays
     in 0..2^B - 1: w is suffix normal, so p(i) <= s(i) <= s(i+1) and the value is
     at least 2^(B-1) - 1, and s(i+1) <= m < 2^(B-1) keeps it below 2^B and lets
-    the OR with the top bits add them.  So no field borrows, given the width
-    rule of `field_constants` for n - 1, the longest tested length.
+    the OR with the top bits add them.  So no field borrows.
+
+    Leaves are taken from their parent, never pushed.  A leaf's key holds
+    f(i+1) = max(s(i+1), p(i) + 1) <= n in field i < n, the `fieldwise_max` of S
+    and P + ones(n) (so B is the width of `field_constants(n)`), and weight + 1
+    above: f(n+1) is not fixed by f(1..n), as 1·0 and 1·1 share f(1).
     """
     kept = [0] * n
     if not n:
         if leaves is not None:
             leaves.append(0)
+        if groups is not None:
+            groups[1] = [0]
         return kept
-    width, all_ones, _ = field_constants(n - 1)
-    ones = [all_ones >> width * (n - 1 - m) for m in range(n)]  # 1 in m fields
+    width, all_ones, all_tops = field_constants(n)
+    ones = [all_ones >> width * (n - m) for m in range(n + 1)]  # 1 in m fields
     tops = [o << width - 1 for o in ones]
+    last, end = width * (n - 1), width * n
     stack = [(0, 0, 0, 0, 0)]
     pop, push = stack.pop, stack.append
     while stack:
@@ -138,6 +147,13 @@ def _walk(n: int, leaves: list[int] | None) -> list[int]:
             push((m + 1, bits, P << width, S | weight << shift, weight))
             if one:
                 push((m + 1, bits | 1 << m, (P << width) + (ones[m + 1] ^ 1), S | (weight + 1) << shift, weight + 1))
+        elif groups is not None:
+            # S and P + ones(n) of 0·w; those of 1·w add 1 to s(n) and to p(1..n-1)
+            S, P = S | weight << last, (P << width) + all_ones
+            groups.setdefault(fieldwise_max(S, P, width, all_tops) | (weight + 1) << end, []).append(bits)
+            if one:
+                S, P, weight = S + (1 << last), P + (all_ones ^ 1), weight + 1
+                groups.setdefault(fieldwise_max(S, P, width, all_tops) | (weight + 1) << end, []).append(bits | 1 << m)
         elif leaves is not None:
             leaves.append(bits)
             if one:
@@ -151,6 +167,19 @@ def lr_level(n: int) -> list[int]:
     _walk(n, level)
     level.sort()
     return level
+
+
+def prepend_one_groups(n: int) -> list[list[int]]:
+    """The level of length n grouped by `prepend_one_profile`, each group increasing
+    and the groups in order of their least members, keyed in the walk by one int each."""
+    check_length(n)
+    groups: dict[int, list[int]] = {}
+    _walk(n, None, groups)
+    ordered = list(groups.values())
+    for group in ordered:  # increasing for every n <= 24, but nothing in the walk makes it so
+        group.sort()
+    ordered.sort(key=itemgetter(0))  # the walk meets the leaves depth first, not in word order
+    return ordered
 
 
 def iter_lr_levels(n_max: int):
@@ -198,8 +227,8 @@ def _profile_walk(n: int, materialize: bool, target: Profile | None = None) -> d
     Appending a gives s'(k) = a + s(k-1) and f'(k) = max(f(k), s'(k)), so
     S' = (S << B) + a·ones(m+1) and F' is the fieldwise max of F and S': for
     a = 0 it is F with the weight in field m, as s(k-1) <= f(k-1) <= f(k); for
-    a = 1 one biased subtract marks the fields where F >= S'.  Leaves are taken
-    from their parent at depth n - 1 and never pushed.
+    a = 1 it is `fieldwise_max(F, S')`.  Leaves are taken from their parent
+    at depth n - 1 and never pushed.
 
     With a target profile t, a 1-child is cut when a field of F passes t, since
     F never decreases (a 0-child's one new field, its weight, is at most t(m+1)),
@@ -211,7 +240,6 @@ def _profile_walk(n: int, materialize: bool, target: Profile | None = None) -> d
         return {0: [0] if materialize else 1}
     width, all_ones, tops = field_constants(n)
     ones = [all_ones >> width * (n - m) for m in range(n + 1)]  # 1 in m fields
-    lane = (1 << width) - 1
     if target is None:
         bound, least = n * all_ones, [0] * (n + 1)
     else:
@@ -225,8 +253,7 @@ def _profile_walk(n: int, materialize: bool, target: Profile | None = None) -> d
         m, bits, S, F, weight = pop()
         bits <<= 1
         S1 = (S << width) + ones[m + 1]
-        mask = ((((F | tops) - S1) & tops) >> width - 1) * lane  # fields where F >= S1
-        F1 = F & mask | S1 & ~mask
+        F1 = fieldwise_max(F, S1, width, tops)
         F0 = F | weight << width * m
         one = (bound - F1) & tops == tops
         zero = weight >= least[m + 1]

@@ -174,6 +174,14 @@ def field_constants(n: int) -> tuple[int, int, int]:
     return width, ones, ones << width - 1
 
 
+def fieldwise_max(x: int, y: int, width: int, tops: int) -> int:
+    """Field by field max(x, y) of packed ints holding 0..n in the fields of
+    `field_constants(n)`: the top bits of (x | tops) - y mark where x >= y,
+    and spread over their fields they take x there and y elsewhere."""
+    mask = ((((x | tops) - y) & tops) >> width - 1) * ((1 << width) - 1)
+    return x & mask | y & ~mask
+
+
 def max_ones(w: Word) -> Profile:
     """Most 1s per factor length, by one word-parallel unit-step test per length.
 

@@ -211,6 +211,21 @@ class TestClasses:
         for n in range(14, 17):
             assert [c.packed for c in collapse_classes(n, "band")] == [c.packed for c in collapse_classes(n)]
 
+    @pytest.mark.parametrize("engine", ["brute", "band"])
+    def test_walk_over_lengths_reads_each_length(self, monkeypatch, engine):
+        # the traced benchmark counts classes where `collapse.collapse_classes` is called
+        calls = []
+        direct = collapse.collapse_classes
+
+        def counted(n, engine):
+            calls.append((n, engine))
+            return direct(n, engine)
+
+        monkeypatch.setattr(collapse, "collapse_classes", counted)
+        walked = list(iter_collapse_classes(6, engine))
+        assert calls == [(n, engine) for n in range(7)]
+        assert walked == [(n, direct(n, engine)) for n in range(7)]
+
     def test_band_engine_work(self, monkeypatch):
         # a candidate is its extender with letters moved, so the subset loop builds no
         # profile, and each validated extender's profile is read off its suffix counts
@@ -252,7 +267,8 @@ class TestClasses:
 
         for module in (collapse, normality):
             monkeypatch.setattr(module, "lr_level", no_level)
-            monkeypatch.setattr(module, "iter_lr_levels", no_level)
+            monkeypatch.setattr(module, "prepend_one_groups", no_level)
+        monkeypatch.setattr(normality, "iter_lr_levels", no_level)
         members = collapse_class(parse_word("111000010000011010010111"))
         assert ",".join(map(str, members)) == (
             "110100010000011010001111,110100100000011100001111,111000010000011010010111,111000100000011100010111"

@@ -26,6 +26,8 @@ from pnlab.normality import (
     lr_level,
     pn_equivalent,
     prefix_normal_form,
+    prepend_one_groups,
+    prepend_one_profile,
 )
 from pnlab.palindromes import count_prefix_normal_palindromes, enumerate_prefix_normal_palindromes
 from pnlab.words import Word, max_ones, parse_word
@@ -234,6 +236,15 @@ class TestWalk:
         assert len(level) == A194850[n] and level[-1] == (1 << n) - 1
         assert count_least_representatives(n)[n] == A194850[n]
         assert count_one_prepends(n - 1)[n - 1] == A194850[n] - A194850[n - 1]
+
+    def test_groups_are_the_prepend_one_grouping(self):
+        # prepend_one_profile reads each word's letters, not the walk's packed key; the lengths
+        # run through n = 0 and every power of two, where the fields first need one bit more
+        for n in range(17):
+            groups = {}
+            for bits in lr_level(n):
+                groups.setdefault(prepend_one_profile(bits, n), []).append(bits)
+            assert prepend_one_groups(n) == list(groups.values())
 
     def test_counts_hold_no_level(self):
         def peak(build):

@@ -6,6 +6,8 @@ from pnlab import oracle
 from pnlab.words import (
     Word,
     WordParseError,
+    field_constants,
+    fieldwise_max,
     letters,
     max_ones,
     max_ones_sum,
@@ -123,6 +125,18 @@ class TestProfiles:
     def test_profile_text(self):
         assert profile_text(max_ones(parse_word("11011"))) == "1,2,2,3,4"
         assert profile_text((0,)) == ""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 16, 24])
+    def test_fieldwise_max(self, n):
+        # values 0..n in every field, the ends included: the walks' keys reach n
+        width, _, tops = field_constants(n)
+        rng = random.Random(n)
+        pairs = [([0] * n, [n] * n), ([n] * n, [0] * n), ([n] * n, [n] * n)]
+        pairs += [([rng.randint(0, n) for _ in range(n)], [rng.randint(0, n) for _ in range(n)]) for _ in range(200)]
+        for xs, ys in pairs:
+            x, y = (sum(v << width * i for i, v in enumerate(vs)) for vs in (xs, ys))
+            expected = sum(max(a, b) << width * i for i, (a, b) in enumerate(zip(xs, ys)))
+            assert fieldwise_max(x, y, width, tops) == expected
 
     def test_empty_word_profiles(self):
         e = parse_word("")
