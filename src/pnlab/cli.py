@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import traceback
+from collections.abc import Callable, Sequence
 
 from . import collapse, jpm, normality, oracle, palindromes, verify
 from .limits import LimitExceededError, UsageError, check_length
@@ -170,6 +171,28 @@ def cmd_word(args) -> int:
     return 0
 
 
+# --- line output ------------------------------------------------------------
+
+_CHUNK_LINES = 4096  # lines per write: the text held at once stays small, whatever the level
+
+
+def _write_lines(items: Sequence, line: Callable[..., str]) -> None:
+    """Write line(item) and a newline per item, one `sys.stdout.write` per chunk of lines."""
+    write = sys.stdout.write
+    for start in range(0, len(items), _CHUNK_LINES):
+        write("\n".join(map(line, items[start : start + _CHUNK_LINES])) + "\n")
+
+
+def _spelling(n: int) -> Callable[[int], str]:
+    """The letters of a packed word of length n, as `str(Word(n, bits))` spells them.
+
+    `bin` of the word with a 1 set above it is "0b1" and then all n letters, leading
+    zeros too; so length 0 gives the empty string, where `format(0, "00b")` gives "0".
+    """
+    top = 1 << n
+    return lambda bits: bin(bits | top)[3:]
+
+
 # --- enumerate --------------------------------------------------------------
 
 
@@ -184,16 +207,18 @@ def cmd_enumerate(args) -> int:
         for sig, npf, lr, size in rows:
             print(json.dumps({"signature": profile_text(sig), "npf": str(npf), "lr": str(lr), "size": size}))
         return 0
-    if args.pnpals and args.oracle:
-        words = oracle.brute_prefix_normal_palindromes(n)
-    elif args.pnpals:
-        words = palindromes.enumerate_prefix_normal_palindromes(n).words
+    # lines are spelled from packed ints: a `Word` and a `print` per line took longer than the walk
+    if args.pnpals:
+        if args.oracle:
+            words = oracle.brute_prefix_normal_palindromes(n)
+        else:
+            words = palindromes.enumerate_prefix_normal_palindromes(n).words
+        level = [w.bits for w in words]
     elif args.oracle:
-        words = oracle.brute_least_representatives(n)
+        level = [w.bits for w in oracle.brute_least_representatives(n)]
     else:
-        words = normality.enumerate_least_representatives(n)
-    for w in words:
-        print(w)
+        level = normality.lr_level(n)
+    _write_lines(level, _spelling(n))  # `enumerate 0` prints one empty line: the empty word
     return 0
 
 
@@ -201,16 +226,26 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_collapse_classes(args) -> int:
+    n = args.n
     if args.oracle:
         classes = [
-            collapse.CollapseClass(args.n, tuple(v.bits for v in group))
-            for group in oracle.brute_collapse_partition(args.n)
+            collapse.CollapseClass(n, tuple(v.bits for v in group)) for group in oracle.brute_collapse_partition(n)
         ]
     else:
-        classes = collapse.collapse_classes(args.n)
-    for cls in classes:
-        members = [str(v) for v in cls.members]  # extender first
-        print(json.dumps({"extender": members[0], "members": members, "size": cls.size, "bound": cls.bound}))
+        classes = collapse.collapse_classes(n)
+    spell = _spelling(n)
+
+    def record(cls: collapse.CollapseClass) -> str:
+        # the bytes json.dumps gives for the same dict, with no `Word` per member: the letters
+        # are 0 and 1 and need no escape; at n = 0 the one class is the empty word, bound 1
+        members = '", "'.join(map(spell, cls.packed))  # extender first
+        bound = cls.bound  # None for the all-zeros class at n >= 1
+        return (
+            f'{{"extender": "{spell(cls.packed[0])}", "members": ["{members}"], '
+            f'"size": {cls.size}, "bound": {"null" if bound is None else bound}}}'
+        )
+
+    _write_lines(classes, record)
     return 0
 
 

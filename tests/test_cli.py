@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import pnlab
-from pnlab import oracle, verify
+from pnlab import collapse, normality, oracle, palindromes, verify
 from pnlab.cli import SEQUENCE_NAMES, build_parser, main
 from pnlab.limits import max_palindrome_length, max_partition_length, max_word_length
 
@@ -381,6 +381,36 @@ class TestEnumerate:
     def test_limit_exit_code(self):
         assert run(["enumerate", "40"])[0] == 3
 
+    def test_lines_are_the_words(self):
+        # the CLI spells packed ints itself; the library's `Word`s are the reference
+        for n in range(15):
+            expected = "".join(f"{w}\n" for w in normality.enumerate_least_representatives(n))
+            assert run(["enumerate", str(n)]) == (0, expected, "")
+
+    def test_pnpal_lines_are_the_words(self):
+        for n in range(21):
+            expected = "".join(f"{w}\n" for w in palindromes.enumerate_prefix_normal_palindromes(n).words)
+            assert run(["enumerate", str(n), "--pnpals"]) == (0, expected, "")
+
+    def test_output_crosses_chunks(self):
+        # 7568 lines: two writes, a full chunk of 4096 lines and the rest
+        writes = []
+
+        class Sink(io.StringIO):
+            def write(self, text):
+                writes.append(text.count("\n"))
+                return super().write(text)
+
+        out = Sink()
+        with contextlib.redirect_stdout(out):
+            assert main(["enumerate", "16"]) == 0
+        lines = out.getvalue().split("\n")
+        level = normality.lr_level(16)
+        assert lines.pop() == ""
+        assert len(lines) == sum(writes) == normality.count_least_representatives(16)[16]
+        assert lines[0] == f"{min(level):016b}" and lines[-1] == f"{max(level):016b}"
+        assert writes == [4096, len(lines) - 4096]
+
 
 class TestCollapseClasses:
     def test_jsonl(self):
@@ -391,6 +421,16 @@ class TestCollapseClasses:
         assert merged == {"extender": "0011", "members": ["0011", "1001"], "size": 2, "bound": 2}
         zeros = next(r for r in records if r["extender"] == "0000")
         assert zeros["bound"] is None
+
+    def test_records_are_the_classes(self):
+        for n in range(13):
+            code, out, _ = run(["collapse-classes", str(n)])
+            assert code == 0
+            records = [json.loads(line) for line in out.splitlines()]
+            classes = collapse.collapse_classes(n)
+            assert [(r["extender"], r["members"], r["size"], r["bound"]) for r in records] == [
+                (str(cls.extender), list(map(str, cls.members)), cls.size, cls.bound) for cls in classes
+            ]
 
     def test_oracle_engine_same_output(self):
         _, fast, _ = run(["collapse-classes", "8"])
@@ -407,6 +447,24 @@ class TestCollapseClasses:
         assert code == 0
         assert band == out.splitlines()[1:]
         assert [int(row.split(",")[0]) for row in band] == list(range(1, 13))
+
+
+class TestLengthZero:
+    # the empty word is one line of no letters, where format(0, "00b") would spell "0"
+    EMPTY_CLASS = '{"extender": "", "members": [""], "size": 1, "bound": 1}\n'
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["enumerate", "0"], "\n"),
+            (["enumerate", "0", "--pnpals"], "\n"),
+            (["enumerate", "0", "--oracle"], "\n"),
+            (["collapse-classes", "0"], EMPTY_CLASS),
+            (["collapse-classes", "0", "--oracle"], EMPTY_CLASS),
+        ],
+    )
+    def test_stdout(self, argv, out):
+        assert run(argv) == (0, out, "")
 
 
 class TestBounds:
@@ -519,6 +577,16 @@ class TestProcess:
         with spawn(["enumerate", "18"]) as proc:
             assert proc.stdout.readline() == "000000000000000000\n"
             assert proc.stdout.readline() == "000000000000000001\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        assert err == ""
+
+    def test_closed_pipe_exits_quietly_from_json_lines(self):
+        # collapse-classes 18 writes 21 915 records, about 2 MB, in chunks of lines
+        with spawn(["collapse-classes", "18"]) as proc:
+            assert json.loads(proc.stdout.readline())["extender"] == "000000000000000000"
+            assert json.loads(proc.stdout.readline())["extender"] == "000000000000000001"
             proc.stdout.close()
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 0
