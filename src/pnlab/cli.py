@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import traceback
@@ -28,6 +27,7 @@ from .words import (
     prefix_ones,
     profile_text,
     reverse_progress,
+    spelling,
     suffix_ones,
 )
 
@@ -59,7 +59,7 @@ def cmd_sequence(args) -> int:
         # lexsmall theorem: one member per class extends, except in the all-zeros class
         rows = ((m, kept + 1) for m, kept in enumerate(normality.count_one_prepends(n_max)))
     else:
-        rows = ((part.n, max(cls.size for cls in part)) for part in normality.iter_class_partitions(n_max))
+        rows = ((p.n, max(c.size for c in p.classes.values())) for p in normality.iter_class_partitions(n_max))
     # row 0 is never printed; taking it runs a lazy walk's cap check, so an over-cap run prints nothing
     next(rows)
     print("n,value")
@@ -174,23 +174,13 @@ def cmd_word(args) -> int:
 # --- line output ------------------------------------------------------------
 
 _CHUNK_LINES = 4096  # lines per write: the text held at once stays small, whatever the level
+# a JSON line is an f-string with the bytes of json.dumps: digits, commas, 0s and 1s need no escape
 
 
 def _write_lines(items: Sequence, line: Callable[..., str]) -> None:
     """Write line(item) and a newline per item, one `sys.stdout.write` per chunk of lines."""
-    write = sys.stdout.write
     for start in range(0, len(items), _CHUNK_LINES):
-        write("\n".join(map(line, items[start : start + _CHUNK_LINES])) + "\n")
-
-
-def _spelling(n: int) -> Callable[[int], str]:
-    """The letters of a packed word of length n, as `str(Word(n, bits))` spells them.
-
-    `bin` of the word with a 1 set above it is "0b1" and then all n letters, leading
-    zeros too; so length 0 gives the empty string, where `format(0, "00b")` gives "0".
-    """
-    top = 1 << n
-    return lambda bits: bin(bits | top)[3:]
+        sys.stdout.write("\n".join(map(line, items[start : start + _CHUNK_LINES])) + "\n")
 
 
 # --- enumerate --------------------------------------------------------------
@@ -198,14 +188,19 @@ def _spelling(n: int) -> Callable[[int], str]:
 
 def cmd_enumerate(args) -> int:
     n = args.n
+    spell = spelling(n)
     if args.classes:
         if args.oracle:
             groups = sorted(oracle.brute_class_partition(n).items())
-            rows = [(sig, max(members), min(members), len(members)) for sig, members in groups]
+            classes = [normality.PnClass(sig, max(members), min(members), len(members)) for sig, members in groups]
         else:
-            rows = [(cls.signature, cls.npf, cls.lr, cls.size) for cls in normality.class_partition(n)]
-        for sig, npf, lr, size in rows:
-            print(json.dumps({"signature": profile_text(sig), "npf": str(npf), "lr": str(lr), "size": size}))
+            classes = list(normality.class_partition(n))
+
+        def record(cls: normality.PnClass) -> str:
+            sig, npf, lr = profile_text(cls.signature), spell(cls.npf.bits), spell(cls.lr.bits)
+            return f'{{"signature": "{sig}", "npf": "{npf}", "lr": "{lr}", "size": {cls.size}}}'
+
+        _write_lines(classes, record)
         return 0
     # lines are spelled from packed ints: a `Word` and a `print` per line took longer than the walk
     if args.pnpals:
@@ -218,7 +213,7 @@ def cmd_enumerate(args) -> int:
         level = [w.bits for w in oracle.brute_least_representatives(n)]
     else:
         level = normality.lr_level(n)
-    _write_lines(level, _spelling(n))  # `enumerate 0` prints one empty line: the empty word
+    _write_lines(level, spell)  # `enumerate 0` prints one empty line: the empty word
     return 0
 
 
@@ -228,16 +223,14 @@ def cmd_enumerate(args) -> int:
 def cmd_collapse_classes(args) -> int:
     n = args.n
     if args.oracle:
-        classes = [
-            collapse.CollapseClass(n, tuple(v.bits for v in group)) for group in oracle.brute_collapse_partition(n)
-        ]
+        groups = oracle.brute_collapse_partition(n)
+        classes = [collapse.CollapseClass(n, tuple(v.bits for v in group)) for group in groups]
     else:
         classes = collapse.collapse_classes(n)
-    spell = _spelling(n)
+    spell = spelling(n)
 
     def record(cls: collapse.CollapseClass) -> str:
-        # the bytes json.dumps gives for the same dict, with no `Word` per member: the letters
-        # are 0 and 1 and need no escape; at n = 0 the one class is the empty word, bound 1
+        # no `Word` per member; at n = 0 the one class is the empty word, bound 1
         members = '", "'.join(map(spell, cls.packed))  # extender first
         bound = cls.bound  # None for the all-zeros class at n >= 1
         return (
@@ -289,8 +282,7 @@ def cmd_jpm(args) -> int:
         hit = oracle.brute_jumbled_witness(w, k, d)
         print(f"yes (factor at position {hit})" if hit is not None else "no")
         return 0
-    idx = jpm.build_index(w)
-    print("yes" if jpm.query(idx, k, d) else "no")
+    print("yes" if jpm.query(jpm.build_index(w), k, d) else "no")
     return 0
 
 

@@ -13,8 +13,9 @@ A profile is a tuple (v(0), v(1), ..., v(n)) over factor lengths:
 
 All three are read off the word's prefix counts p(0..n).  A word is spelled
 in digits one way, `bin` of its packed value with a marker bit 1 << n that
-keeps leading zeros.  `str` and `reversed_bits` read it, max_ones writes it
-into its fields, and `letters` turns it into bytes of value 0 or 1.
+keeps leading zeros.  `str`, `reversed_bits` and `spelling(n)`, the one
+spelling the CLI reads, use it; max_ones writes it into its fields, and
+`letters` turns it into bytes of value 0 or 1.
 
 max_ones is word-parallel.  It packs p(1..n) into n fields of B bits of one
 int P, field j holding p(n - j), with B chosen so that 2^(B-1) > n
@@ -35,6 +36,7 @@ replays its increments backwards, starting from v(n); it serves `word --fbar`.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -146,8 +148,14 @@ _DIGIT_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _digits(bits: int, n: int) -> str:
-    """The letters of Word(n, bits) as '0'/'1' text."""
+    """The letters of Word(n, bits) as '0'/'1' text; length 0 gives "", where `format(0, "00b")` gives "0"."""
     return bin(bits | 1 << n)[3:]
+
+
+def spelling(n: int) -> Callable[[int], str]:
+    """`_digits` for words of length n, as a closure that takes 1 << n once: the CLI's spelling."""
+    top = 1 << n
+    return lambda bits: bin(bits | top)[3:]
 
 
 def letters(bits: int, n: int) -> bytes:

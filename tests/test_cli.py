@@ -14,6 +14,7 @@ import pnlab
 from pnlab import collapse, normality, oracle, palindromes, verify
 from pnlab.cli import SEQUENCE_NAMES, build_parser, main
 from pnlab.limits import max_palindrome_length, max_partition_length, max_word_length
+from pnlab.words import profile_text
 
 SRC = str(Path(pnlab.__file__).resolve().parents[1])
 
@@ -24,6 +25,23 @@ def run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def written_lines(argv):
+    """main(argv)'s stdout lines, and the number of lines in each write to stdout."""
+    writes = []
+
+    class Sink(io.StringIO):
+        def write(self, text):
+            writes.append(text.count("\n"))
+            return super().write(text)
+
+    out = Sink()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    lines = out.getvalue().split("\n")
+    assert lines.pop() == ""
+    return lines, writes
 
 
 def outcome(argv):
@@ -394,22 +412,22 @@ class TestEnumerate:
 
     def test_output_crosses_chunks(self):
         # 7568 lines: two writes, a full chunk of 4096 lines and the rest
-        writes = []
-
-        class Sink(io.StringIO):
-            def write(self, text):
-                writes.append(text.count("\n"))
-                return super().write(text)
-
-        out = Sink()
-        with contextlib.redirect_stdout(out):
-            assert main(["enumerate", "16"]) == 0
-        lines = out.getvalue().split("\n")
+        lines, writes = written_lines(["enumerate", "16"])
         level = normality.lr_level(16)
-        assert lines.pop() == ""
         assert len(lines) == sum(writes) == normality.count_least_representatives(16)[16]
         assert lines[0] == f"{min(level):016b}" and lines[-1] == f"{max(level):016b}"
         assert writes == [4096, len(lines) - 4096]
+
+    def test_classes_cross_chunks(self):
+        # one record per class of length 16 in signature order, the bytes json.dumps gives, in two writes
+        lines, writes = written_lines(["enumerate", "16", "--classes"])
+        records = [
+            {"signature": profile_text(cls.signature), "npf": str(cls.npf), "lr": str(cls.lr), "size": cls.size}
+            for cls in normality.class_partition(16)
+        ]
+        assert [json.loads(line) for line in lines] == records
+        assert lines == [json.dumps(record) for record in records]
+        assert writes == [4096, 3472]
 
 
 class TestCollapseClasses:
@@ -452,6 +470,7 @@ class TestCollapseClasses:
 class TestLengthZero:
     # the empty word is one line of no letters, where format(0, "00b") would spell "0"
     EMPTY_CLASS = '{"extender": "", "members": [""], "size": 1, "bound": 1}\n'
+    EMPTY_PROFILE_CLASS = '{"signature": "", "npf": "", "lr": "", "size": 1}\n'
 
     @pytest.mark.parametrize(
         "argv, out",
@@ -461,6 +480,8 @@ class TestLengthZero:
             (["enumerate", "0", "--oracle"], "\n"),
             (["collapse-classes", "0"], EMPTY_CLASS),
             (["collapse-classes", "0", "--oracle"], EMPTY_CLASS),
+            (["enumerate", "0", "--classes"], EMPTY_PROFILE_CLASS),
+            (["enumerate", "0", "--classes", "--oracle"], EMPTY_PROFILE_CLASS),
         ],
     )
     def test_stdout(self, argv, out):

@@ -1,10 +1,15 @@
 """Drive every named verification suite at its intended depth."""
 
+from dataclasses import replace
+
 import pytest
 
 from pnlab import verify
+from pnlab.cli import main
+from pnlab.collapse import CollapseClass
 from pnlab.limits import LimitExceededError
 from pnlab.verify import CHECKS
+from pnlab.words import prefix_ones, suffix_ones
 
 
 @pytest.mark.parametrize(
@@ -74,3 +79,96 @@ def test_over_cap_suite_fails_before_any_work(monkeypatch, name, cap, kind):
     monkeypatch.setenv("PNLAB_MAX_N", cap)
     with pytest.raises(LimitExceededError, match=f"^{kind} at length 7 exceeds the limit of 0$"):
         CHECKS[name][0](7)
+
+
+
+def _at(length, broken):
+    """Patch factory: the original answer, but broken(original, arg) for an argument of `length` letters."""
+    return lambda original: lambda arg: broken(original, arg) if len(arg) == length else original(arg)
+
+
+def _palindrome_dropped(original):
+    return lambda n_max: ((n, words[1:] if n == 5 else words) for n, words in original(n_max))
+
+
+def _band_drops_last_class(original):
+    return lambda n_max, engine: (
+        (n, classes[:-1] if n == 5 and engine == "band" else classes) for n, classes in original(n_max, engine)
+    )
+
+
+def _classes_claim_every_word(original):
+    return lambda n_max: (
+        (n, [CollapseClass(n, c.packed + tuple(range(1 << n))) for c in classes] if n == 5 else classes)
+        for n, classes in original(n_max)
+    )
+
+
+def _one_group_at_5(original):
+    return lambda bits, n: () if n == 5 else original(bits, n)
+
+
+def _corrected_bound_one_short(original):
+    return lambda n_max: (
+        (n, actual, replace(b, upper_remark_corrected=actual - 1) if n == 5 else b) for n, actual, b in original(n_max)
+    )
+
+
+# every `raise Counterexample` of the suites that pass in test_suite_passes, each set off at length 5
+# by one patched name of `verify`; a 1-prepend or 1-append of a 5-letter word has 6 letters, a doubled one 10 to 12
+BROKEN_AT_5 = [
+    ("leastsuffix", "prefix_ones", _at(5, lambda f, m: ()), "00000 (canonical member not unique)"),
+    (
+        "leastsuffix", "prefix_ones", _at(5, lambda f, m: suffix_ones(m)),
+        "00001 (prefix normal member is not the maximum)",
+    ),
+    (
+        "leastsuffix", "suffix_ones", _at(5, lambda f, m: prefix_ones(m)),
+        "10000 (least representative is not the reversed maximum)",
+    ),
+    (
+        "corlol", "iter_prefix_normal_palindromes", _palindrome_dropped,
+        "00000 (singleton classes differ from palindromes)",
+    ),
+    ("pchar", "validate_lr_profile", _at(6, lambda f, s: False), "00000 (profile violates the shape inequalities)"),
+    (
+        "symminf", "max_ones", _at(6, lambda f, w: (0, f(w)[1] - 1, *f(w)[2:])),
+        "00000 (asymmetric change at position 1)",
+    ),
+    ("falsecollapse", "max_ones", _at(6, lambda f, w: ()), "11111 (unexpected overlap with 00000)"),
+    ("smallsum", "max_ones_sum", _at(6, lambda f, p: 0), "10001 (not dominated by extender 00011)"),
+    ("lexsmall", "is_suffix_normal", _at(6, lambda f, w: True), "00000 (all-zeros class should not extend)"),
+    ("lexsmall", "is_suffix_normal", _at(6, lambda f, w: False), "00001 (extending member is not the minimum alone)"),
+    ("collapstheo", "iter_collapse_classes", _band_drops_last_class, "11111 (engines disagree)"),
+    ("collapsindex", "iter_collapse_classes", _classes_claim_every_word, "00001 (size 33 above bound 2)"),
+    ("notpal", "is_suffix_normal", _at(6, lambda f, w: True), "00000 (1-prepend unexpectedly canonical)"),
+    ("notpal", "is_suffix_normal", _at(6, lambda f, w: False), "00000 (1-append unexpectedly not canonical)"),
+    ("ww-w0w-1ww1", "is_prefix_normal_palindrome", _at(10, lambda f, v: True), "10001 (ww stayed prefix normal)"),
+    ("ww-w0w-1ww1", "is_prefix_normal_palindrome", _at(11, lambda f, v: v[6] == 1), "10001 (w1w stayed prefix normal)"),
+    (
+        "ww-w0w-1ww1", "is_prefix_normal_palindrome", _at(11, lambda f, v: v[6] == 0),
+        "10001 (w0w without the single-zero shape)",
+    ),
+    ("ww-w0w-1ww1", "is_prefix_normal_palindrome", _at(12, lambda f, v: True), "11011 (1ww1 without a 10 prefix)"),
+    ("counting-identity", "prepend_one_profile", _one_group_at_5, "n=5 (got 23, expected 14)"),
+    ("palupperbound", "bounds_by_length", _corrected_bound_one_short, "n=5 (corrected bound 22 below 23)"),
+]
+
+
+@pytest.mark.parametrize("name, patched, breaks, instance", BROKEN_AT_5)
+def test_suite_reports_a_broken_instance(monkeypatch, name, patched, breaks, instance):
+    # a suite that cannot be shown to fail is no gate; its lines stop at the last length that held
+    lines_before = CHECKS[name][0](4).lines
+    monkeypatch.setattr(verify, patched, breaks(getattr(verify, patched)))
+    report = CHECKS[name][0](7)
+    assert not report.ok
+    assert report.counterexample == f"counterexample {instance}"
+    assert report.lines == lines_before
+
+
+def test_cli_ends_a_broken_suite_with_its_counterexample(monkeypatch, capsys):
+    lines_before = CHECKS["notpal"][0](4).lines
+    monkeypatch.setattr(verify, "is_suffix_normal", _at(6, lambda f, w: True)(verify.is_suffix_normal))
+    assert main(["verify", "notpal", "7"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [*lines_before, "counterexample 00000 (1-prepend unexpectedly canonical)"]
