@@ -22,7 +22,10 @@ Classes can be computed two ways:
   pairs lowers the top by one on its units: lowering the suffix counts
   at i moves a 1 of the extender one step left, from position n+1-i to
   n-i; each candidate is the extender with those letters moved, kept
-  after a direct collapse check.
+  after a direct collapse check.  Both profiles come from one `max_ones`
+  call, on w[1..n-1]: its g(k) is w's best length-k window that does not
+  end at n, so w's profile is max(g, s) for its suffix counts s, and the
+  bottom word's is max(1 + p(k-1), g(k)) for its prefix counts p.
 
 Both engines must agree; the test suites compare them exhaustively.
 Either way a class is a `CollapseClass`: its members as packed ints,
@@ -39,6 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import gt, lt
 
 from .limits import UsageError, check_length
 from .normality import (
@@ -49,7 +54,7 @@ from .normality import (
     prepend_one_groups,
     prepend_one_profile,
 )
-from .words import Profile, Word, max_ones, suffix_ones
+from .words import Profile, Word, letters, max_ones
 
 
 def collapses(w: Word, v: Word) -> bool:
@@ -104,17 +109,37 @@ def adjusted_lower_band(w: Word) -> Profile:
     are least representatives drop symmetrically.  The result bounds all
     such collapsers from below; it is not itself guaranteed to belong to a
     collapsing word.
+
+    Both profiles come from one `max_ones` call, on w's first n-1 letters:
+    its g(k) is the best length-k window of w that does not end at n.  So
+    w is a least representative exactly when g <= s, its suffix counts, and
+    the bottom word 1·w[1..n-1], reversed (which keeps the profile), has
+    profile max(1 + p(k-1), g(k)) for k < n and 1 + p(n-1) at n.
     """
-    fu = max_ones(lower_band_word(w))  # validates w, so w's profile is its suffix counts
-    fw = suffix_ones(w)
-    n = len(w)
-    g = list(fu)
+    return _band(w)[1]
+
+
+def _band(w: Word) -> tuple[Profile, Profile]:
+    """(top, bottom) of the extender w's band: its suffix counts and
+    `adjusted_lower_band(w)`, read with its prefix counts off one `max_ones` call."""
+    n, bits = w.n, w.bits
+    if bits == 0:
+        raise ValueError("zero-weight words have no collapse band")
+    x = letters(bits, n)
+    p, s = tuple(accumulate(x, initial=0)), tuple(accumulate(x[::-1], initial=0))
+    g = max_ones(Word(n - 1, bits >> 1))
+    if any(map(gt, g, s)):
+        raise ValueError(f"{w} is not a least representative")
+    if not all(map(lt, p, s[1:])):  # `extends_by_one` on the counts at hand
+        raise ValueError(f"{w} does not extend to a least representative")
+    fu = (0, *map(max, (v + 1 for v in p[: n - 1]), g[1:]), p[n - 1] + 1)
+    bottom = list(fu)
     for i in range(1, n + 1):
-        if fu[i] not in (fw[i], fw[i] - 1):
+        if fu[i] not in (s[i], s[i] - 1):
             raise AssertionError("band bottom strays more than one below the top")
-        if fu[i] != fw[i] and fu[n - i + 1] == fw[n - i + 1]:
-            g[i] += 1
-    return tuple(g)
+        if fu[i] != s[i] and fu[n - i + 1] == s[n - i + 1]:
+            bottom[i] += 1
+    return s, tuple(bottom)
 
 
 def validate_lr_profile(s: Profile) -> bool:
@@ -141,12 +166,14 @@ def candidate_collapsers(w: Word) -> list[Word]:
     unit is open where the two differ.  A candidate lowers the band top by
     one on a subset of the open units: lowering at i moves a 1 of w from bit i-1 to
     bit i of the packed value.  A subset that moves a letter w lacks would
-    leave unit steps and is skipped; a candidate is kept when it is suffix
-    normal (its suffix counts are the lowered profile) with w's `prepend_one_profile`.
+    leave unit steps and is skipped.  A candidate is kept when its
+    `prepend_one_profile` is w's, which is w's profile with s(n) + 1 appended,
+    and it is suffix normal: the formula is its 1-prepend profile only then,
+    so the cheap comparison runs first and the `max_ones` call after it.
     """
     n = len(w)
-    target = prepend_one_profile(w.bits, n)
-    lower, upper = adjusted_lower_band(w), suffix_ones(w)
+    upper, lower = _band(w)
+    target = (*upper, upper[n] + 1)
     # unit {i, n-i+1} is open where the band's ends differ at i, up to the middle;
     # an odd middle unit is one bit, and unit {1, n} is never open, so no move leaves the word
     units = [1 << i - 1 | 1 << n - i for i in range(1, (n + 1) // 2 + 1) if lower[i] != upper[i]]
@@ -158,7 +185,7 @@ def candidate_collapsers(w: Word) -> list[Word]:
         if (w.bits ^ lowered) & moved:
             continue
         cand = Word(n, w.bits ^ moved)
-        if is_suffix_normal(cand) and prepend_one_profile(cand.bits, n) == target:
+        if prepend_one_profile(cand.bits, n) == target and is_suffix_normal(cand):
             found.append(cand)
     # subset order is not word order: four-member classes come out unsorted from n = 9
     found.sort()

@@ -315,18 +315,25 @@ def class_partition(n: int, materialize: bool = False) -> ClassPartition:
     construction; sizes and optional member lists are what it buys.
     Without materialize each class is counted, and no member is held.
     It has its own cap, the partition cap.
+
+    A class's record is read off its key, which holds f(j+1) in field j:
+    field j of key - (key << B), masked to n fields, is f(j+1) - f(j), the
+    npf's letter j+1, so the low digit of every field, read high to low
+    after a marker bit, spells the lr in one `int`.  The npf is its
+    reversal and the signature the npf's prefix counts.
     """
     check_length(n, max_partition_length(), kind="partition")
     width = field_constants(n)[0]
-    lane = (1 << width) - 1
+    top, marker = 1 << width * n, 1 << n
     classes: dict[Profile, PnClass] = {}
     for key, group in _profile_walk(n, materialize).items():
-        sig = (0, *((key >> width * j) & lane for j in range(n)))
-        npf = profile_increments_word(sig)
+        lr = Word(n, int(bin((key - (key << width)) & top - 1 | top)[2::width], 2) ^ marker)
+        npf = lr.reverse()
+        sig = prefix_ones(npf)
         classes[sig] = PnClass(
             signature=sig,
             npf=npf,
-            lr=npf.reverse(),
+            lr=lr,
             size=len(group) if materialize else group,
             members=tuple(Word(n, v) for v in group) if materialize else None,
         )

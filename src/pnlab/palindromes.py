@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 from .limits import check_length, max_palindrome_length
 from .normality import is_prefix_normal, iter_lr_levels, lr_level
-from .words import Profile, Word, max_ones, prefix_ones, reversed_bits
+from .words import Word, max_ones, reversed_bits
 
 
 def is_palindrome(w: Word) -> bool:
-    return w == w.reverse()
+    return w.bits == reversed_bits(w.bits, w.n)
 
 
 def is_prefix_normal_palindrome(w: Word) -> bool:
@@ -98,23 +98,3 @@ def iter_prefix_normal_palindromes(n_max: int):
         for n in (2 * m - 1, 2 * m):
             if 0 <= n <= n_max:
                 yield n, _palindromes_from_tails(n, tails)
-
-
-def extension_profile(inner: Word) -> Profile:
-    """Max-ones profile of 1·v·1 from prefix counts of the inner palindrome v.
-
-    Valid when v is a palindrome and 1·v·1 is a prefix normal palindrome;
-    under that premise the wrapped word's profile is its prefix-ones
-    profile, so no factor scan is needed:
-
-        f(1) = 1
-        f(k) = p_v(k - 1) + 1    for 1 < k < |v| + 2
-        f(n) = f(n - 1) + 1      at the full length n = |v| + 2
-    """
-    m = len(inner)
-    p = prefix_ones(inner)
-    out = [0, 1]
-    for k in range(2, m + 2):
-        out.append(p[k - 1] + 1)
-    out.append(out[-1] + 1)
-    return tuple(out)

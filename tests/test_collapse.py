@@ -137,6 +137,43 @@ class TestBand:
         with pytest.raises(ValueError, match="1001 does not extend"):
             adjusted_lower_band(parse_word("1001"))
 
+    def test_refuses_every_word_that_is_not_an_extender(self):
+        # one max_ones call on w's first n-1 letters validates w, in the order and words of the
+        # explicit checks: not suffix normal first, then not extending
+        for fn in (adjusted_lower_band, candidate_collapsers):
+            for w in (Word(0, 0), Word(5, 0)):
+                with pytest.raises(ValueError, match="^zero-weight words have no collapse band$"):
+                    fn(w)
+            with pytest.raises(ValueError, match="^0110 is not a least representative$"):
+                fn(parse_word("0110"))
+            for n in range(1, 11):
+                for bits in range(1, 1 << n):
+                    w = Word(n, bits)
+                    if not is_suffix_normal(w):
+                        message = f"^{w} is not a least representative$"
+                    elif not extends_by_one(bits, n):
+                        message = f"^{w} does not extend to a least representative$"
+                    else:
+                        fn(w)
+                        continue
+                    with pytest.raises(ValueError, match=message):
+                        fn(w)
+
+    def test_bottom_is_the_lifted_lower_band_word(self):
+        # the definition: the profile of lower_band_word(w), raised by one wherever it is below
+        # w's profile on one side of a mirror pair only
+        for n in range(1, 13):
+            for bits in lr_level(n):
+                if not bits or not extends_by_one(bits, n):
+                    continue
+                w = Word(n, bits)
+                fu, fw = max_ones(lower_band_word(w)), max_ones(w)
+                lifted = [fu[0]]
+                for i in range(1, n + 1):
+                    lift = fu[i] != fw[i] and fu[n - i + 1] == fw[n - i + 1]
+                    lifted.append(fu[i] + 1 if lift else fu[i])
+                assert adjusted_lower_band(w) == tuple(lifted), w
+
     def test_band_invariants(self):
         for n in range(1, 12):
             for w in enumerate_least_representatives(n):
@@ -227,19 +264,24 @@ class TestClasses:
         assert walked == [(n, direct(n, engine)) for n in range(7)]
 
     def test_band_engine_work(self, monkeypatch):
-        # a candidate is its extender with letters moved, so the subset loop builds no
-        # profile, and each validated extender's profile is read off its suffix counts
-        calls = 0
+        # one max_ones call per extender, on its first n-1 letters, validates it and gives its
+        # band (576 at n = 12); a candidate is its extender with letters moved, its 1-prepend
+        # profile is read only when it moves letters the extender has (314 candidates), and only
+        # a match is checked for suffix normality (139 more max_ones calls)
+        calls = {max_ones: 0, prepend_one_profile: 0}
 
-        def counted(w):
-            nonlocal calls
-            calls += 1
-            return max_ones(w)
+        def counted(f):
+            def call(*args):
+                calls[f] += 1
+                return f(*args)
+
+            return call
 
         for module in (words, normality, collapse):
-            monkeypatch.setattr(module, "max_ones", counted)
+            monkeypatch.setattr(module, "max_ones", counted(max_ones))
+        monkeypatch.setattr(collapse, "prepend_one_profile", counted(prepend_one_profile))
         collapse_classes(12, "band")
-        assert calls <= 1466
+        assert calls[max_ones] <= 715 and calls[prepend_one_profile] <= 314
 
     @pytest.mark.parametrize(
         "stray,message",

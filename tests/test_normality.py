@@ -28,6 +28,7 @@ from pnlab.normality import (
     prefix_normal_form,
     prepend_one_groups,
     prepend_one_profile,
+    profile_increments_word,
 )
 from pnlab.palindromes import count_prefix_normal_palindromes, enumerate_prefix_normal_palindromes
 from pnlab.words import Word, max_ones, parse_word
@@ -299,6 +300,24 @@ class TestPartition:
             cls = part.classes[sig]
             assert list(cls.members) == members and cls.size == len(members)
             assert cls.npf == max(members) and cls.lr == min(members)
+
+    def test_records_read_off_the_key(self):
+        # the key's field differences spell the lr; the old route read the signature's increments,
+        # and the signature must be the lr's profile, which max_ones reads off its letters
+        for n in range(15):
+            part = class_partition(n)
+            assert len(part.classes) == A194850[n]
+            for sig, cls in part.classes.items():
+                assert cls.signature == sig == max_ones(cls.lr)
+                assert cls.npf == profile_increments_word(sig)
+                assert cls.lr == cls.npf.reverse()
+
+    def test_npf_is_the_greatest_member(self):
+        assert [(str(c.npf), str(c.lr)) for c in class_partition(0, materialize=True)] == [("", "")]
+        assert [(str(c.npf), str(c.lr)) for c in class_partition(1, materialize=True)] == [("0", "0"), ("1", "1")]
+        for n in range(13):
+            for cls in class_partition(n, materialize=True).classes.values():
+                assert cls.npf == max(cls.members) and cls.lr == min(cls.members)
 
     @pytest.mark.parametrize("n", [7, 8, 15, 16])
     def test_width_holds_the_longest_word(self, n):

@@ -6,14 +6,13 @@ from pnlab.normality import iter_lr_levels
 from pnlab.palindromes import (
     count_prefix_normal_palindromes,
     enumerate_prefix_normal_palindromes,
-    extension_profile,
     is_palindrome,
     is_prefix_normal_palindrome,
     is_prefix_normal_palindrome_by_profile,
     iter_prefix_normal_palindromes,
     palindrome_from_tail,
 )
-from pnlab.words import Word, max_ones, parse_word
+from pnlab.words import Word, parse_word
 
 TABLE_COUNTS = [2, 2, 3, 3, 5, 4, 8, 7, 12, 11, 21, 18, 36, 31, 57, 55]
 
@@ -27,6 +26,12 @@ class TestPalindrome:
         assert is_palindrome(parse_word("10101"))
         assert not is_palindrome(parse_word("1101"))
         assert is_palindrome(parse_word(""))
+
+    def test_matches_the_spelling(self):
+        # the packed test against the definition, a word that reads the same both ways
+        for n in range(13):
+            for w in all_words(n):
+                assert is_palindrome(w) == (str(w) == str(w)[::-1]), w
 
 
 class TestDetection:
@@ -130,19 +135,3 @@ class TestEnumeration:
         counts = [104, 91, 182, 166, 308, 292, 562, 512, 1009, 928, 1755, 1697, 3247, 2972, 5906, 5555]
         for n, expected in enumerate(counts, start=17):
             assert count_prefix_normal_palindromes(n) == expected, n
-
-
-class TestExtensionProfile:
-    def test_examples(self):
-        assert extension_profile(parse_word("0")) == (0, 1, 1, 2)
-        assert extension_profile(parse_word("010")) == (0, 1, 1, 2, 2, 3)
-        assert extension_profile(parse_word("1")) == (0, 1, 2, 3)
-
-    def test_matches_max_ones_on_wrapped_palindromes(self):
-        for n in range(2, 15):
-            for w in enumerate_prefix_normal_palindromes(n).words:
-                if w.bits == 0:
-                    continue
-                assert w[1] == 1 and w[n] == 1
-                inner = w.slice(2, n - 1)
-                assert extension_profile(inner) == max_ones(w)
