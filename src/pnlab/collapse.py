@@ -179,8 +179,12 @@ def candidate_collapsers(w: Word) -> list[Word]:
     units = [1 << i - 1 | 1 << n - i for i in range(1, (n + 1) // 2 + 1) if lower[i] != upper[i]]
 
     found: list[Word] = []
+    # a subset's lowered units are those of the subset without its lowest unit, plus that unit
+    lowered_by_subset = [0] * (1 << len(units))
     for subset in range(1, 1 << len(units)):
-        lowered = sum(unit for t, unit in enumerate(units) if subset >> t & 1)
+        low = subset & -subset
+        lowered = lowered_by_subset[subset ^ low] | units[low.bit_length() - 1]
+        lowered_by_subset[subset] = lowered
         moved = lowered ^ lowered << 1
         if (w.bits ^ lowered) & moved:
             continue

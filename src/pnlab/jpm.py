@@ -9,6 +9,7 @@ realized by some factor, so a query is an interval test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 from .limits import UsageError
 from .words import Profile, Word, max_ones
@@ -26,7 +27,7 @@ def build_index(w: Word) -> JumbledIndex:
     complement (fewest 1s = length minus most 0s)."""
     fmax = max_ones(w)
     zeros_best = max_ones(w.complement())
-    fmin = tuple(k - zeros_best[k] for k in range(len(w) + 1))
+    fmin = tuple(map(sub, range(len(w) + 1), zeros_best))
     return JumbledIndex(n=len(w), fmax=fmax, fmin=fmin)
 
 

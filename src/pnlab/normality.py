@@ -35,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import itemgetter, lt
+from operator import itemgetter, lt, sub
 
 from .limits import check_length, max_partition_length
 from .words import Profile, Word, field_constants, fieldwise_max, letters, max_ones, prefix_ones, suffix_ones
@@ -59,9 +59,18 @@ def pn_equivalent(u: Word, v: Word) -> bool:
     return max_ones(u) == max_ones(v)
 
 
+# the steps 0 and 1 spell their digits; every other byte spells "2", which int() refuses in base 2
+_STEP_DIGITS = b"01" + b"2" * 254
+
+
 def profile_increments_word(f: Profile) -> Word:
-    """Word whose letter at position k is f(k) - f(k-1)."""
-    return Word.from_bits(f[k] - f[k - 1] for k in range(1, len(f)))
+    """Word whose letter at position k is f(k) - f(k-1), read by one int() off the steps as digits."""
+    try:
+        # bytes() refuses a step outside 0..255, int() one of 2..255
+        steps = bytes(map(sub, f[1:], f[:-1]))
+        return Word(len(steps), int(b"0" + steps.translate(_STEP_DIGITS), 2))
+    except ValueError:
+        raise ValueError("profile steps must be 0 or 1") from None
 
 
 def prefix_normal_form(w: Word) -> Word:

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -31,7 +32,7 @@ from pnlab.normality import (
     profile_increments_word,
 )
 from pnlab.palindromes import count_prefix_normal_palindromes, enumerate_prefix_normal_palindromes
-from pnlab.words import Word, max_ones, parse_word
+from pnlab.words import Word, max_ones, parse_word, prefix_ones
 
 
 # OEIS A194850: the number of prefix normal words, so of classes, of length n
@@ -111,6 +112,19 @@ class TestCanonicalForms:
                 lr = least_representative(w)
                 assert lr == min(members)
                 assert oracle.brute_is_suffix_normal(lr)
+
+    def test_increments_word(self):
+        assert profile_increments_word((0,)) == parse_word("")
+        assert profile_increments_word((0, 1, 1, 2, 3, 3)) == parse_word("10110")
+        assert profile_increments_word((0, 0, 0)) == parse_word("00")
+        long = Word(1024, random.Random(1024).getrandbits(1024))
+        assert profile_increments_word(prefix_ones(long)) == long
+
+    # steps outside 0..255 fail in bytes(); 32, 48, 95 and 98 spell " ", "0", "_" and "b", which int() could take
+    @pytest.mark.parametrize("step", [2, -1, 256, 32, 48, 95, 98])
+    def test_increments_word_rejects_a_step(self, step):
+        with pytest.raises(ValueError, match="profile steps must be 0 or 1"):
+            profile_increments_word((0, 1, 1 + step, 2 + step))
 
     def test_idempotent_and_class_invariant(self):
         for w in all_words(9):

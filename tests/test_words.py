@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pnlab import oracle
+from pnlab import oracle, words
 from pnlab.words import (
     Word,
     WordParseError,
@@ -154,17 +154,67 @@ class TestAgainstOracle:
                 assert prefix_ones(w) == oracle.brute_prefix_ones(w)
                 assert suffix_ones(w) == oracle.brute_suffix_ones(w)
 
-    @pytest.mark.parametrize("n", [127, 128, 129, 255, 256])
+    def test_loops_agree_exhaustive(self):
+        # max_ones takes the prefix-count loop below 64 letters, but each position loop answers for any word
+        for n in range(0, 15):
+            for w in all_words(n):
+                assert all_loops(w) == [max_ones(w)] * 3, w
+
+    @pytest.mark.parametrize("n", [63, 64, 125, 126, 127, 128, 129, 255, 256])
     def test_profiles_long_words(self, n):
-        # the packed kernel's field width steps up at n = 128 and n = 256
+        # max_ones packs positions from n = 64 on, in 8-bit fields to n = 128; the prefix-count
+        # loop's field width steps up at n = 128 and n = 256.  Every loop runs on every word.
         rng = random.Random(n)
-        words = [Word.zeros(n), Word.ones(n)]
+        cases = [Word.zeros(n), Word.ones(n)]
         for density in (0.05, 0.25, 0.5, 0.9):
-            words.append(Word.from_bits(int(rng.random() < density) for _ in range(n)))
-        for w in words:
-            assert max_ones(w) == oracle.brute_max_ones(w), w
+            cases.append(Word.from_bits(int(rng.random() < density) for _ in range(n)))
+        # one 1 and one 0, each at the start, and a third of either letter, then one more
+        one = Word(n, 1 << n - 1)
+        cases += [one, one.complement()]
+        for count in (n // 3, n // 3 + 1):
+            ones = Word(n, sum(1 << i for i in rng.sample(range(n), count)))
+            cases += [ones, ones.complement()]
+        for w in cases:
+            expected = oracle.brute_max_ones(w)
+            assert max_ones(w) == expected, w
+            assert all_loops(w) == [expected] * 3, w
             assert prefix_ones(w) == oracle.brute_prefix_ones(w), w
             assert suffix_ones(w) == oracle.brute_suffix_ones(w), w
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_loops_agree_past_the_oracle(self, n):
+        # brute_max_ones stops at 256 letters; past it the position loops answer for the prefix-count loop
+        rng = random.Random(n)
+        for density in (0.05, 0.25, 0.75, 0.95):
+            w = Word(n, sum((rng.random() < density) << i for i in range(n)))
+            assert max_ones(w) == words._max_ones_by_counts(w.bits, n), density
+
+    @pytest.mark.parametrize("density", [0.01, 0.99])
+    def test_loops_agree_past_the_16_bit_fields(self, density):
+        # n = 2^15 + 1 is the first length whose positions take 32-bit fields
+        n = (1 << 15) + 1
+        rng = random.Random(n)
+        w = Word(n, sum((rng.random() < density) << i for i in range(n)))
+        assert max_ones(w) == words._max_ones_by_counts(w.bits, n)
+
+    def test_one_zero_past_the_16_bit_fields(self):
+        # a lone 0 at the start tests a span of 1 at k = n, the low end of a field: 16 bits would borrow
+        n = (1 << 15) + 1
+        assert max_ones(Word(n, (1 << n - 1) - 1)) == (*range(n), n - 1)
+
+    @pytest.mark.parametrize("n,size", [(64, 1), (128, 1), (129, 2), (32768, 2), (32769, 4)])
+    def test_position_field_width(self, n, size):
+        # the narrowest whole array item with 2^(B-1) >= n
+        assert words._position_fields(n).itemsize == size
+
+
+def all_loops(w):
+    n, weight = w.n, w.weight()
+    return [
+        words._max_ones_by_counts(w.bits, n),
+        words._max_ones_by_ones(w.bits, n, weight),
+        words._max_ones_by_zeros(w.bits, n, n - weight),
+    ]
 
 
 class TestInvariants:
