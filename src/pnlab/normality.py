@@ -49,10 +49,6 @@ def is_suffix_normal(w: Word) -> bool:
     return max_ones(w) == suffix_ones(w)
 
 
-# A suffix normal word is the least representative of its class.
-is_least_representative = is_suffix_normal
-
-
 def pn_equivalent(u: Word, v: Word) -> bool:
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")

@@ -30,8 +30,8 @@ That is O(n) big-int operations on n·B-bit ints, each running over
 n·B/30 machine digits in C, where one window scan per length takes
 O(n²) interpreted steps.
 
-A long word with a rare letter takes a second loop, over the positions
-of its sparser letter, packed one per field of 8, 16, 32 or 64 bits by
+A word of 64 letters or more takes a second loop, over the positions
+of its rarer letter, packed one per field of 8, 16, 32 or 64 bits by
 `array` and `int.from_bytes`, the narrowest with 2^(B-1) >= n.  Let the
 ones sit at q_1 < ... < q_W and v = v(k-1).  Then v(k) = v + 1 exactly
 when v + 1 ones fit in a window of length k, that is when some span
@@ -47,9 +47,10 @@ when no span of z + 1 gaps reaches k + 1.  Each loop shifts once more
 only when v, or z, rises, so a length costs two big-int operations on
 min(W, n - W) + 2 fields instead of three on n.  Once v = W, or
 z = n - W, no window can take in a letter more, so the loop stops and
-the profile ends in W, or in k - (n - W).  max_ones takes this loop from
-64 letters on when the sparser letter fills at most a third of the word;
-its docstring has the measurements behind that rule.
+the profile ends in W, or in k - (n - W).  max_ones picks its loop by
+length alone: the prefix counts below 64 letters, the rarer letter's
+positions from 64 on (the ones when 2·W <= n); its docstring has the
+measurements behind that rule.
 
 reverse_progress derives from a profile the sequence v(n) - v(k-1) that
 replays its increments backwards, starting from v(n); it serves `word --fbar`.
@@ -214,42 +215,44 @@ def fieldwise_max(x: int, y: int, width: int, tops: int) -> int:
     return x & mask | y & ~mask
 
 
-# max_ones packs the sparser letter's positions when the word has at least this many
-# letters and that letter fills at most 1/_POSITION_LOOP_SHARE of it; the measurements
-# behind both numbers are in max_ones' docstring
+# max_ones packs the rarer letter's positions from this many letters on; the measurements
+# behind it are in max_ones' docstring
 _POSITION_LOOP_MIN_LENGTH = 64
-_POSITION_LOOP_SHARE = 3
 
 
 def max_ones(w: Word) -> Profile:
     """Most 1s per factor length, by one word-parallel unit-step test per length.
 
-    The test runs over one of two packed ints.  A word of at least 64
-    letters whose sparser letter fills at most a third of it packs that
-    letter's positions (`_max_ones_by_ones`, `_max_ones_by_zeros`); any
-    other word packs its prefix counts (`_max_ones_by_counts`).  The
-    length is tested first, so a short word pays nothing for the rule.
+    The test runs over one of two packed ints, chosen by length alone.
+    A word of fewer than 64 letters packs its prefix counts
+    (`_max_ones_by_counts`); a longer one packs the positions of its
+    rarer letter (`_max_ones_by_ones` when 2·W <= n, else
+    `_max_ones_by_zeros`).  The length is tested first, so a short word
+    pays nothing for the weight.
 
-    The rule is measured, best of 7 in process on a shared 2-core VM.  At
-    n = 1024 one call by prefix counts took 1.5-2.1 ms at every ones
-    density; by positions it took 0.17-0.28 ms at density 0.05,
-    0.49-0.86 ms at 0.25, 0.64-1.17 ms at 1/3 and 0.24 ms at 0.9, and
-    `jpm.build_index` at n = 4096 fell from 55-62 ms to 2.8 / 13 / 5-8 ms
-    at 0.05 / 0.25 / 0.9.  At density 1/2 the position loop saved little
-    (0.9x at n = 64), and at n = 12-24 it ran at 0.7-1.2x the prefix
-    counts for densities 1/4 to 3/4: its setup, three C passes over the
-    letters, costs what its narrower ints save.  So the words of 24
-    letters or fewer that the palindrome scans and the band engine pass
-    keep the prefix-count loop.
+    The rule is measured in process on a shared 2-core VM, as the time
+    of the rarer letter's loop over that of the prefix counts, best of 15
+    runs over 40 seeded words.  At ones densities 1/3, 1/2 and 2/3 it was
+    0.90 / 1.06 / 0.93 at n = 64, 0.74 / 0.89 / 0.81 at 128,
+    0.85 / 0.81 / 0.59 at 256 and 0.58 / 0.61 / 0.41 at 1024.
+    `jpm.build_index` of a half-and-half word fell from 51-55 ms to
+    26-43 ms at n = 4096, and at densities 0.05 / 0.25 / 0.9 it takes
+    2.8 / 13 / 5-8 ms against 55-62 ms by prefix counts.  The band
+    where positions lose is n = 64-127 at densities 0.45-0.55: 0.82-1.14x,
+    at most 4 µs on calls of 16-39 µs, and no benchmark workload sends
+    such a word.  At n = 12-24 the position loop ran at 0.7-1.2x the
+    prefix counts for densities 1/4 to 3/4: its setup, three C passes
+    over the letters, costs what its narrower ints save.  So the words of
+    24 letters or fewer that the palindrome scans and the band engine
+    pass keep the prefix-count loop.
     """
     n = w.n
-    if n >= _POSITION_LOOP_MIN_LENGTH:
-        weight = w.bits.bit_count()
-        if _POSITION_LOOP_SHARE * weight <= n:
-            return _max_ones_by_ones(w.bits, n, weight)
-        if _POSITION_LOOP_SHARE * (n - weight) <= n:
-            return _max_ones_by_zeros(w.bits, n, n - weight)
-    return _max_ones_by_counts(w.bits, n)
+    if n < _POSITION_LOOP_MIN_LENGTH:
+        return _max_ones_by_counts(w.bits, n)
+    weight = w.bits.bit_count()
+    if 2 * weight <= n:
+        return _max_ones_by_ones(w.bits, n, weight)
+    return _max_ones_by_zeros(w.bits, n, n - weight)
 
 
 def _max_ones_by_counts(bits: int, n: int) -> Profile:

@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import re
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
 
@@ -7,7 +8,8 @@ import pnlab
 from pnlab import cli, collapse, jpm, normality, palindromes, verify, words
 
 PACKAGE = Path(pnlab.__file__).resolve().parent
-LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = ROOT / "perfbench" / "layers.py"
 
 
 def test_no_private_names_imported_across_modules():
@@ -29,6 +31,24 @@ def test_all_lists_every_public_name():
         name for name, value in vars(pnlab).items() if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert sorted(pnlab.__all__) == sorted(bound)
+
+
+def test_every_public_name_is_reached():
+    # a name in __all__ is loaded, imported or read as an attribute by a package module other than
+    # __init__.py, or the README names it among the library calls; its own def or assignment is no use
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    named = set(re.findall(r"`([A-Za-z_]\w*)", (ROOT / "README.md").read_text()))
+    assert [name for name in pnlab.__all__ if name not in used | named] == []
 
 
 def test_no_public_function_takes_a_limit():

@@ -18,7 +18,6 @@ from pnlab.normality import (
     count_one_prepends,
     enumerate_least_representatives,
     extends_by_one,
-    is_least_representative,
     is_prefix_normal,
     is_suffix_normal,
     iter_class_partitions,
@@ -66,7 +65,6 @@ class TestPredicates:
         assert is_suffix_normal(parse_word("101011"))
         assert not is_suffix_normal(parse_word("110101"))
         assert is_suffix_normal(parse_word("1111"))
-        assert is_least_representative is is_suffix_normal
 
     def test_vs_oracle(self):
         for n in range(0, 11):

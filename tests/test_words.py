@@ -155,23 +155,25 @@ class TestAgainstOracle:
                 assert suffix_ones(w) == oracle.brute_suffix_ones(w)
 
     def test_loops_agree_exhaustive(self):
-        # max_ones takes the prefix-count loop below 64 letters, but each position loop answers for any word
+        # max_ones takes the prefix-count loop below 64 letters and a position loop from 64 on,
+        # but each loop answers for any word
         for n in range(0, 15):
             for w in all_words(n):
                 assert all_loops(w) == [max_ones(w)] * 3, w
 
     @pytest.mark.parametrize("n", [63, 64, 125, 126, 127, 128, 129, 255, 256])
     def test_profiles_long_words(self, n):
-        # max_ones packs positions from n = 64 on, in 8-bit fields to n = 128; the prefix-count
-        # loop's field width steps up at n = 128 and n = 256.  Every loop runs on every word.
+        # max_ones packs the rarer letter's positions from n = 64 on, in 8-bit fields to n = 128; the
+        # prefix-count loop's field width steps up at n = 128 and n = 256.  Every loop runs on every word.
         rng = random.Random(n)
         cases = [Word.zeros(n), Word.ones(n)]
         for density in (0.05, 0.25, 0.5, 0.9):
             cases.append(Word.from_bits(int(rng.random() < density) for _ in range(n)))
-        # one 1 and one 0, each at the start, and a third of either letter, then one more
+        # one 1 and one 0, each at the start, a third of either letter, then one more, and half of
+        # either letter, then one more: the tie where the ones loop hands over to the zeros loop
         one = Word(n, 1 << n - 1)
         cases += [one, one.complement()]
-        for count in (n // 3, n // 3 + 1):
+        for count in (n // 3, n // 3 + 1, n // 2, n // 2 + 1):
             ones = Word(n, sum(1 << i for i in rng.sample(range(n), count)))
             cases += [ones, ones.complement()]
         for w in cases:
@@ -206,6 +208,27 @@ class TestAgainstOracle:
     def test_position_field_width(self, n, size):
         # the narrowest whole array item with 2^(B-1) >= n
         assert words._position_fields(n).itemsize == size
+
+    def test_loop_picked_by_length(self, monkeypatch):
+        # from 64 letters on a word of either weight takes a position loop, below 64 the prefix counts
+        rng = random.Random(64)
+        half = [
+            Word(n, sum(1 << i for i in rng.sample(range(n), count)))
+            for n in (64, 128, 256)
+            for count in (n // 2, n // 2 + 1)
+        ]
+        short = [Word(63, rng.getrandbits(63)) for _ in range(4)] + [Word.zeros(63), Word.ones(63)]
+        expected = [words._max_ones_by_counts(w.bits, w.n) for w in half + short]
+
+        def refuse(*args):
+            raise AssertionError("loop not picked by the length rule")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(words, "_max_ones_by_counts", refuse)
+            assert [max_ones(w) for w in half] == expected[: len(half)]
+        monkeypatch.setattr(words, "_max_ones_by_ones", refuse)
+        monkeypatch.setattr(words, "_max_ones_by_zeros", refuse)
+        assert [max_ones(w) for w in short] == expected[len(half) :]
 
 
 def all_loops(w):
