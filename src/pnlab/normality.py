@@ -24,8 +24,8 @@ into one int per leaf for `prepend_one_groups`.
 
 The partition of all 2^n words by profile is a second depth-first walk,
 of the tree that appending letters makes of all words.  It carries each
-node's suffix counts and profile so far as packed ints, in the field width
-of max_ones (`words.field_constants`), so no word goes through max_ones; a
+node's suffix counts and profile so far as packed ints, in the fields of
+`words.field_constants`, so no word goes through max_ones; a
 leaf's packed profile is its class key, unpacked once per class, and
 `class_members` is the same walk cut by one profile.
 """

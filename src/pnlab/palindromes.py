@@ -18,6 +18,7 @@ from __future__ import annotations
 # unused here; kept because perfbench/layers.py wraps palindromes.ProcessPoolExecutor
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .limits import check_length, max_palindrome_length
 from .normality import is_prefix_normal, iter_lr_levels, lr_level
@@ -67,10 +68,12 @@ class PnPalRecord:
 
 
 def _palindromes_from_tails(n: int, tails: list[int]) -> tuple[Word, ...]:
-    """Sorted prefix normal palindromes of length n, from the least
-    representatives of length ceil(n/2) as their tails."""
+    """Prefix normal palindromes of length n, from the least representatives
+    of length ceil(n/2) as their tails, sorted by packed value: the words'
+    order, as they all have length n."""
     candidates = (palindrome_from_tail(n, tail) for tail in tails)
-    return tuple(sorted(w for w in candidates if is_prefix_normal_palindrome_by_profile(w)))
+    kept = filter(is_prefix_normal_palindrome_by_profile, candidates)
+    return tuple(sorted(kept, key=attrgetter("bits")))
 
 
 def _palindromes_of_length(n: int) -> tuple[Word, ...]:

@@ -14,43 +14,45 @@ A profile is a tuple (v(0), v(1), ..., v(n)) over factor lengths:
 All three are read off the word's prefix counts p(0..n).  A word is spelled
 in digits one way, `bin` of its packed value with a marker bit 1 << n that
 keeps leading zeros.  `str`, `reversed_bits` and `spelling(n)`, the one
-spelling the CLI reads, use it; max_ones writes it into its fields, and
-`letters` turns it into bytes of value 0 or 1.
+spelling the CLI reads, use it, and it is translated into bytes of value
+0 or 1: by `letters` for the profiles and max_ones, flipped for max_ones'
+loop over the zeros.
 
 max_ones is word-parallel.  It packs p(1..n) into n fields of B bits of one
-int P, field j holding p(n - j), with B chosen so that 2^(B-1) > n
-(`field_constants` gives B and the masks, for normality's walks too).  For
-each length k, P - (P >> B·k) holds every window count of length k at
-once: p never decreases, so no field borrows, and the fields past n - k
-hold counts of prefixes shorter than k, which never exceed v(k-1).  The
-profile moves in unit steps, so v(k) = v(k-1) + 1 exactly when some field
-exceeds v(k-1): biasing every field by 2^(B-1) - 1 - v(k-1) makes that
-the field's top bit, and one AND with the top-bit mask tests them all.
-That is O(n) big-int operations on n·B-bit ints, each running over
-n·B/30 machine digits in C, where one window scan per length takes
-O(n²) interpreted steps.
+int P, field j holding p(n - j), with B the narrowest of 8, 16, 32 and 64
+with 2^(B-1) >= n: up to 128 letters P is the bytes of p(1..n), read by
+one `int.from_bytes`.  For each length k, P - (P >> B·k) holds every
+window count of length k at once: p never decreases, so no field borrows,
+and the fields past n - k hold counts of prefixes shorter than k, which
+never exceed v(k-1).  The profile moves in unit steps, so v(k) = v(k-1) + 1
+exactly when some field exceeds v(k-1): biasing every field by
+2^(B-1) - 1 - v(k-1) makes that the field's top bit, and one AND with the
+top-bit mask tests them all.  A count lies in 0..v(k-1) + 1 and
+v(k-1) <= n - 1, so a biased field lies in 2^(B-1) - n .. 2^(B-1), inside
+its B bits exactly when 2^(B-1) >= n.  That is O(n) big-int operations on
+n·B-bit ints, each running over n·B/30 machine digits in C, where one
+window scan per length takes O(n²) interpreted steps.
 
-A word of 64 letters or more takes a second loop, over the positions
-of its rarer letter, packed one per field of 8, 16, 32 or 64 bits by
-`array` and `int.from_bytes`, the narrowest with 2^(B-1) >= n.  Let the
-ones sit at q_1 < ... < q_W and v = v(k-1).  Then v(k) = v + 1 exactly
-when v + 1 ones fit in a window of length k, that is when some span
-q_{j+v} - q_j is at most k - 1.  With X the packed positions, X >> B·v
-minus X holds all W - v spans at once in its low fields.  A span
-subtracted from 2^(B-1) + k - 1 stays inside its field and sets the
-field's top bit exactly when it is at most k - 1, so one AND with the top
-bits of the valid fields tests every window.  The fields above those hold
-0 minus a position and go negative, but a borrow runs only upward, so
-they never disturb the valid fields.  The zeros, packed between
-sentinels 0 and n + 1, give z(k) = k - v(k) the same way: z rises at k
-when no span of z + 1 gaps reaches k + 1.  Each loop shifts once more
-only when v, or z, rises, so a length costs two big-int operations on
-min(W, n - W) + 2 fields instead of three on n.  Once v = W, or
-z = n - W, no window can take in a letter more, so the loop stops and
-the profile ends in W, or in k - (n - W).  max_ones picks its loop by
-length alone: the prefix counts below 64 letters, the rarer letter's
-positions from 64 on (the ones when 2·W <= n); its docstring has the
-measurements behind that rule.
+A word of 64 letters or more takes a second loop, over the positions of
+its rarer letter, packed one per field of the same width by `array` and
+`int.from_bytes`.  Let the ones sit at q_1 < ... < q_W and v = v(k-1).
+Then v(k) = v + 1 exactly when v + 1 ones fit in a window of length k,
+that is when some span q_{j+v} - q_j is at most k - 1.  With X the
+packed positions, X >> B·v minus X holds all W - v spans at once in its
+low fields.  A span subtracted from 2^(B-1) + k - 1 stays inside its
+field and sets the field's top bit exactly when it is at most k - 1, so
+one AND with the top bits of the valid fields tests every window.  The
+fields above those hold 0 minus a position and go negative, but a borrow
+runs only upward, so they never disturb the valid fields.  The zeros,
+packed between sentinels 0 and n + 1, give z(k) = k - v(k) the same way:
+z rises at k when no span of z + 1 gaps reaches k + 1.  Each loop shifts
+once more only when v, or z, rises, so a length costs two big-int
+operations on min(W, n - W) + 2 fields instead of three on n.  Once
+v = W, or z = n - W, no window can take in a letter more, so the loop
+stops and the profile ends in W, or in k - (n - W).  max_ones picks its
+loop by length alone: the prefix counts below 64 letters, the rarer
+letter's positions from 64 on (the ones when 2·W <= n); its docstring
+has the measurements behind that rule.
 
 reverse_progress derives from a profile the sequence v(n) - v(k-1) that
 replays its increments backwards, starting from v(n); it serves `word --fbar`.
@@ -200,7 +202,8 @@ def field_constants(n: int) -> tuple[int, int, int]:
     1..2^B - 1 for any x and y in 0..n, so (X | tops) - Y takes every
     field's difference at once without a borrow, and the field's top bit
     tells whether x >= y.  ones has 1 in each of the n fields and tops has
-    their top bits.  It is the one place the width rule is written.
+    their top bits.  normality's walks and `fieldwise_max` use this width;
+    max_ones' loops use the whole-byte fields of `_position_fields`.
     """
     width = n.bit_length() + 1
     ones = ((1 << width * n) - 1) // ((1 << width) - 1)
@@ -259,26 +262,28 @@ def _max_ones_by_counts(bits: int, n: int) -> Profile:
     """max_ones by the prefix counts.
 
     The prefix counts p(1..n) are packed into n fields of B bits of one
-    int P, field j holding p(n - j); B is the least width with
-    2^(B-1) > n, so every field value and every biased window count
-    below fits its field.  For length k, field j of P - (P >> B·k) is the
-    count of the window ending at position n - j (for j <= n - k) or of a
-    prefix shorter than k (beyond), so no field borrows and no field
-    exceeds v(k-1) except a length-k window holding v(k-1) + 1 ones.
+    int P, field j holding p(n - j), with B the narrowest of 8, 16, 32 and
+    64 with 2^(B-1) >= n, the position loops' rule: up to 128 letters the
+    counts are the bytes of P, longer words go through `_position_fields`.
+    For length k, field j of P - (P >> B·k) is the count of the window
+    ending at position n - j (for j <= n - k) or of a prefix shorter than
+    k (beyond), so no field borrows and no field exceeds v(k-1) except a
+    length-k window holding v(k-1) + 1 ones.  Biased by 2^(B-1) - 1 - v,
+    with v = v(k-1) <= k - 1 <= n - 1, each such field lies in
+    2^(B-1) - n .. 2^(B-1), inside its B bits exactly when 2^(B-1) >= n:
+    a lone 0 first reaches the low end at k = n.
     """
     if not n:
         return (0,)
-    width, ones, tops = field_constants(n)
-    fields = bytearray(b"0") * (width * n)
-    fields[width - 1 :: width] = _digits(bits, n).encode()
-    # field n - i holds letter i, read by int() from ASCII digits; adding
-    # to every field all fields above it (log2 n shift-adds) turns field j
-    # into p(n - j)
-    packed = int(fields, 2)
-    shift = width
-    while shift < width * n:
-        packed += packed >> shift
-        shift <<= 1
+    counts = accumulate(letters(bits, n))
+    if n <= 128:  # 2^(8-1) >= n
+        packed, width, ones = int.from_bytes(bytes(counts), "big"), 8, int.from_bytes(b"\x01" * n, "big")
+    else:
+        fields = _position_fields(n)
+        fields.extend(counts)
+        fields.reverse()  # item 0, the lowest field, holds p(n)
+        packed, width, ones = _pack_fields(fields)
+    tops = ones << width - 1
     biased = packed + tops - ones  # each field + 2^(B-1) - 1 - v(k-1)
     out = [0]
     best = 0
@@ -295,7 +300,7 @@ def _position_fields(n: int) -> array:
 
     The position loops' fields then hold 0..n + 1, and every biased span
     they test lies in 0..2^B - 1 (see `_max_ones_by_zeros`), so none spills
-    into its neighbour.
+    into its neighbour; so does every biased count of `_max_ones_by_counts`.
     """
     for code in "BHIQ":
         fields = array(code)

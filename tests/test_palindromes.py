@@ -116,6 +116,12 @@ class TestEnumeration:
             assert list(enumerate_prefix_normal_palindromes(n).words) == brute, n
             assert oracle.brute_prefix_normal_palindromes(n) == brute, n
 
+    def test_words_increase_past_brute_range(self):
+        # the brute filter pins the order to n = 16; the scan sorts by packed value at every length
+        for n in range(17, 25):
+            values = [w.bits for w in enumerate_prefix_normal_palindromes(n).words]
+            assert all(a < b for a, b in zip(values, values[1:])), n
+
     def test_walk_matches_per_length_enumeration(self):
         walked = list(iter_prefix_normal_palindromes(24))
         assert walked == [(n, enumerate_prefix_normal_palindromes(n).words) for n in range(25)]

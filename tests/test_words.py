@@ -163,8 +163,8 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("n", [63, 64, 125, 126, 127, 128, 129, 255, 256])
     def test_profiles_long_words(self, n):
-        # max_ones packs the rarer letter's positions from n = 64 on, in 8-bit fields to n = 128; the
-        # prefix-count loop's field width steps up at n = 128 and n = 256.  Every loop runs on every word.
+        # max_ones packs the rarer letter's positions from n = 64 on; every loop's fields are 8 bits
+        # wide to n = 128 and 16 bits from n = 129.  Every loop runs on every word.
         rng = random.Random(n)
         cases = [Word.zeros(n), Word.ones(n)]
         for density in (0.05, 0.25, 0.5, 0.9):
@@ -182,6 +182,16 @@ class TestAgainstOracle:
             assert all_loops(w) == [expected] * 3, w
             assert prefix_ones(w) == oracle.brute_prefix_ones(w), w
             assert suffix_ones(w) == oracle.brute_suffix_ones(w), w
+
+    def test_counts_loop_every_length_it_serves(self):
+        # max_ones takes the prefix-count loop below 64 letters; the exhaustive cases stop at 14
+        rng = random.Random(15)
+        for n in range(15, 64):
+            for density in (0.1, 0.5, 0.9):
+                w = Word.from_bits(int(rng.random() < density) for _ in range(n))
+                expected = oracle.brute_max_ones(w)
+                assert words._max_ones_by_counts(w.bits, n) == expected, w
+                assert max_ones(w) == expected, w
 
     @pytest.mark.parametrize("n", [1024, 4096])
     def test_loops_agree_past_the_oracle(self, n):
