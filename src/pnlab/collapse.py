@@ -90,13 +90,11 @@ def lower_band_word(w: Word) -> Word:
     """Bottom-of-band word for an extender: reverse of 1·w[1..n-1].
 
     It always collapses with w and no collapsing least representative
-    has a profile below its profile anywhere.
+    has a profile below its profile anywhere.  A word that is not an
+    extender is refused as the band refuses it.
     """
+    _band(w)
     n = len(w)
-    if w.bits == 0:
-        raise ValueError("zero-weight words have no collapse band")
-    if not extends_to_lr(w):
-        raise ValueError(f"{w} does not extend to a least representative")
     return Word(n, w.bits >> 1 | 1 << n - 1).reverse()
 
 
@@ -178,22 +176,20 @@ def candidate_collapsers(w: Word) -> list[Word]:
     # an odd middle unit is one bit, and unit {1, n} is never open, so no move leaves the word
     units = [1 << i - 1 | 1 << n - i for i in range(1, (n + 1) // 2 + 1) if lower[i] != upper[i]]
 
-    found: list[Word] = []
-    # a subset's lowered units are those of the subset without its lowest unit, plus that unit
-    lowered_by_subset = [0] * (1 << len(units))
-    for subset in range(1, 1 << len(units)):
-        low = subset & -subset
-        lowered = lowered_by_subset[subset ^ low] | units[low.bit_length() - 1]
-        lowered_by_subset[subset] = lowered
+    # the lowered units of every subset, the empty one first
+    masks = [0]
+    for unit in units:
+        masks += [mask | unit for mask in masks]
+    found: list[int] = []
+    for lowered in masks[1:]:
         moved = lowered ^ lowered << 1
         if (w.bits ^ lowered) & moved:
             continue
-        cand = Word(n, w.bits ^ moved)
-        if prepend_one_profile(cand.bits, n) == target and is_suffix_normal(cand):
+        cand = w.bits ^ moved
+        if prepend_one_profile(cand, n) == target and is_suffix_normal(Word(n, cand)):
             found.append(cand)
     # subset order is not word order: four-member classes come out unsorted from n = 9
-    found.sort()
-    return found
+    return [Word(n, bits) for bits in sorted(found)]
 
 
 @dataclass(frozen=True, slots=True)

@@ -165,19 +165,15 @@ def check_symminf(n_max: int):
 @suite("falsecollapse", "mixed prepends overlap only at the all-zeros pair")
 def check_falsecollapse(n_max: int):
     """A 0-prepend and a 1-prepend of distinct least representatives share a
-    class only for the all-zeros word and its odd sibling."""
+    class only for the all-zeros word and its odd sibling.  One dict maps each
+    0-prepend's profile to its word, and each 1-prepend's profile is looked up in it."""
     for n, level in islice(iter_lr_levels(n_max), 1, None):
-        zero_side = {}
-        one_side = {}
-        for bits in level:
-            w = Word(n, bits)
-            zero_side[max_ones(w.prepend(0))] = w
-            one_side.setdefault(max_ones(w.prepend(1)), []).append(w)
-        expected = (Word(n, 1), Word(n, 0))  # 0^(n-1)1 under 0, 0^n under 1
-        for sig, w in zero_side.items():
-            for v in one_side.get(sig, []):
-                if (w, v) != expected:
-                    raise Counterexample(w, f"unexpected overlap with {v}")
+        # every profile entry is at most n + 1, so `bytes` holds the profile for every n <= 254
+        zero_side = {bytes(max_ones(Word(n + 1, bits))): bits for bits in level}
+        for v in level:
+            w = zero_side.get(bytes(max_ones(Word(n + 1, v | 1 << n))))
+            if w is not None and (w, v) != (1, 0):  # 0^(n-1)1 under 0, 0^n under 1
+                raise Counterexample(Word(n, w), f"unexpected overlap with {Word(n, v)}")
         yield f"PASS n={n}"
 
 

@@ -140,7 +140,7 @@ class TestBand:
     def test_refuses_every_word_that_is_not_an_extender(self):
         # one max_ones call on w's first n-1 letters validates w, in the order and words of the
         # explicit checks: not suffix normal first, then not extending
-        for fn in (adjusted_lower_band, candidate_collapsers):
+        for fn in (adjusted_lower_band, candidate_collapsers, lower_band_word):
             for w in (Word(0, 0), Word(5, 0)):
                 with pytest.raises(ValueError, match="^zero-weight words have no collapse band$"):
                     fn(w)
