@@ -9,8 +9,11 @@ normal, and every suffix of a suffix normal word is suffix normal (its
 factors and its suffixes are factors and suffixes of the whole word).
 So the last ceil(n/2) letters of a prefix normal palindrome are a least
 representative: enumeration mirrors each member of that level into a
-palindrome and keeps those that pass the profile test, instead of
-walking all 2^ceil(n/2) free halves.  Level m serves lengths 2m - 1 and 2m.
+palindrome, instead of walking all 2^ceil(n/2) free halves, and keeps a
+candidate exactly when it is its own prefix normal form, which
+`words.prefix_normal_forms` answers for the whole level in one lane loop.
+Level m serves lengths 2m - 1 and 2m.  The profile test
+`is_prefix_normal_palindrome_by_profile` stays the test of one word.
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ from __future__ import annotations
 # unused here; kept because perfbench/layers.py wraps palindromes.ProcessPoolExecutor
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .limits import check_length, max_palindrome_length
 from .normality import is_prefix_normal, iter_lr_levels, lr_level
-from .words import Word, max_ones, reversed_bits
+from .words import Word, max_ones, prefix_normal_forms, reversed_bits
 
 
 def is_palindrome(w: Word) -> bool:
@@ -70,10 +72,12 @@ class PnPalRecord:
 def _palindromes_from_tails(n: int, tails: list[int]) -> tuple[Word, ...]:
     """Prefix normal palindromes of length n, from the least representatives
     of length ceil(n/2) as their tails, sorted by packed value: the words'
-    order, as they all have length n."""
-    candidates = (palindrome_from_tail(n, tail) for tail in tails)
-    kept = filter(is_prefix_normal_palindrome_by_profile, candidates)
-    return tuple(sorted(kept, key=attrgetter("bits")))
+    order, as they all have length n.  A candidate is kept when it equals
+    its prefix normal form: it is a palindrome by construction, and prefix
+    normal exactly when it is the one prefix normal word of its class."""
+    candidates = [tail | reversed_bits(tail, n) for tail in tails]  # `palindrome_from_tail`, unchecked
+    kept = sorted(c for c, form in zip(candidates, prefix_normal_forms(n, candidates)) if c == form)
+    return tuple(Word(n, bits) for bits in kept)
 
 
 def _palindromes_of_length(n: int) -> tuple[Word, ...]:

@@ -36,7 +36,7 @@ from .palindromes import (
     is_prefix_normal_palindrome_by_profile,
     iter_prefix_normal_palindromes,
 )
-from .words import Word, max_ones, max_ones_sum, prefix_ones, suffix_ones
+from .words import Word, max_ones, max_ones_sum, prefix_normal_forms, prefix_ones, reversed_bits, suffix_ones
 
 RANDOM_SEED = 0x5EED
 EXHAUSTIVE_PROFILE_LIMIT = 16
@@ -164,16 +164,20 @@ def check_symminf(n_max: int):
 
 @suite("falsecollapse", "mixed prepends overlap only at the all-zeros pair")
 def check_falsecollapse(n_max: int):
-    """A 0-prepend and a 1-prepend of distinct least representatives share a
-    class only for the all-zeros word and its odd sibling.  One dict maps each
-    0-prepend's profile to its word, and each 1-prepend's profile is looked up in it."""
+    """A 0-prepend and a 1-prepend of least representatives share a class
+    exactly once per length: 0^(n-1)1 under 0 and 0^n under 1, both with
+    profile 0, 1, ..., 1.  One dict maps each 0-prepend's prefix normal form,
+    a key for its profile, to its word, and each 1-prepend's form is looked
+    up in it; the pair must be found, and no other."""
     for n, level in islice(iter_lr_levels(n_max), 1, None):
-        # every profile entry is at most n + 1, so `bytes` holds the profile for every n <= 254
-        zero_side = {bytes(max_ones(Word(n + 1, bits))): bits for bits in level}
-        for v in level:
-            w = zero_side.get(bytes(max_ones(Word(n + 1, v | 1 << n))))
-            if w is not None and (w, v) != (1, 0):  # 0^(n-1)1 under 0, 0^n under 1
+        zero_side = dict(zip(prefix_normal_forms(n + 1, level), level))
+        one_side = prefix_normal_forms(n + 1, (v | 1 << n for v in level))
+        overlaps = [(zero_side[form], v) for form, v in zip(one_side, level) if form in zero_side]
+        for w, v in overlaps:
+            if (w, v) != (1, 0):
                 raise Counterexample(Word(n, w), f"unexpected overlap with {Word(n, v)}")
+        if not overlaps:
+            raise Counterexample(Word(n, 1), f"no overlap with {Word(n, 0)}")
         yield f"PASS n={n}"
 
 
@@ -196,14 +200,18 @@ def check_smallsum(n_max: int):
 @suite("lexsmall", "the minimum of each class is the only extending member")
 def check_lexsmall(n_max: int):
     """In each class, exactly the lexicographic minimum extends; the
-    all-zeros class has no extending member at all."""
+    all-zeros class has no extending member at all.  1·v is a least
+    representative exactly when it is the reversal of its prefix normal
+    form, which one lane loop gives for every member of the level."""
     for n, classes in islice(iter_collapse_classes(n_max), 1, None):
+        forms = prefix_normal_forms(n + 1, (bits | 1 << n for cls in classes for bits in cls.packed))
         for cls in classes:
-            extending = {v for v in cls.members if is_suffix_normal(v.prepend(1))}
+            pairs = zip(cls.packed, forms)  # zip tests cls.packed first, so it reads no form past the class
+            extending = {bits for bits, form in pairs if reversed_bits(form, n + 1) == bits | 1 << n}
             if cls.extender.bits == 0:
                 if extending:
                     raise Counterexample(cls.extender, "all-zeros class should not extend")
-            elif extending != {cls.extender}:
+            elif extending != {cls.packed[0]}:
                 raise Counterexample(cls.extender, "extending member is not the minimum alone")
         yield f"PASS n={n}"
 
@@ -255,16 +263,18 @@ def check_palcol(n_max: int):
 
 @suite("notpal", "palindromes extend by appending 1, never by prepending")
 def check_notpal(n_max: int):
-    """Prefix normal palindromes other than all-ones: prepending 1 never
-    gives a least representative, appending 1 always does."""
+    """Appending 1 to a prefix normal palindrome always gives a least
+    representative, and prepending 1 does so for all-ones alone, as
+    1^(n+1) is one: the palindromes whose 1-prepend is one are {1^n}."""
     for n, words in islice(iter_prefix_normal_palindromes(n_max), 1, None):
         for w in words:
-            if w.bits == (1 << n) - 1:
-                continue
-            if is_suffix_normal(w.prepend(1)):
-                raise Counterexample(w, "1-prepend unexpectedly canonical")
             if not is_suffix_normal(w.append(1)):
                 raise Counterexample(w, "1-append unexpectedly not canonical")
+        extending = {w for w in words if is_suffix_normal(w.prepend(1))}
+        wrong = extending ^ {Word.ones(n)}
+        if wrong:
+            w = min(wrong)
+            raise Counterexample(w, "1-prepend unexpectedly canonical" if w in extending else "1-prepend not canonical")
         yield f"PASS n={n}"
 
 

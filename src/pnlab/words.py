@@ -54,6 +54,28 @@ loop by length alone: the prefix counts below 64 letters, the rarer
 letter's positions from 64 on (the ones when 2·W <= n); its docstring
 has the measurements behind that rule.
 
+prefix_normal_forms runs the prefix-count loop on many words of one
+length at once, one lane per word, and answers each word's prefix normal
+form as a packed int: a key for the profile, since the two determine each
+other at a fixed length.  A lane is n + 1 fields of B bits, B by
+`_position_fields`' rule: field j holds p(n - j) and field n, the guard,
+holds 0.  The letters are spread one per field by the digits' translation,
+and p is their running sum by log-step adds, each masked to the fields
+that read inside the lane.  Step k needs the counts shifted down by k
+fields, which would bring the lane above into a lane's top fields.  So the
+shifted counts move down one field per step and are masked to every
+lane's low n fields each time: the guard, which takes the bottom field of
+the lane above, is cleared, and as the field under it is already 0 only
+the low n - k fields hold counts.  Biased as in `_max_ones_by_counts`, a
+field lies in 2^(B-1) - n .. 2^(B-1) after the subtraction, so none
+borrows, and the AND with every lane's top bits leaves each lane below
+2^(B·n).  Adding 2^(B·n) - 1 to every lane then carries into its guard
+exactly when some top bit is set, and no further.  That guard bit, shifted
+down to the lane's bottom and times the constant with 1 in each of the n
+fields, drops the bias of the flagged lanes only, and it is shifted into
+the lane's form as letter k.  A step is eleven big-int operations over a
+whole chunk of lanes, and no Python runs per word inside the length loop.
+
 reverse_progress derives from a profile the sequence v(n) - v(k-1) that
 replays its increments backwards, starting from v(n); it serves `word --fbar`.
 """
@@ -62,9 +84,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, islice, repeat
 
 from .limits import UsageError
 
@@ -395,6 +417,63 @@ def _max_ones_by_zeros(bits: int, n: int, count: int) -> Profile:
             valid >>= width
         out.append(k - zeros)
     return tuple(out)
+
+
+# prefix_normal_forms' lanes per chunk.  Medians of 9 alternating runs in process, shared 2-core VM,
+# at 256 / 1024 / 4096 lanes: 3.6 / 3.8 / 3.7 ms for the 697 candidates of the scan at n = 24,
+# 69 / 69 / 83 ms for its 13 997 at n = 34, 43 / 41 / 43 ms for the 25 500 1-prepends of
+# lr_level(18).  The scan up to n = 24, at most 697 candidates, then runs as one chunk.
+_LANES = 1024
+
+
+def prefix_normal_forms(n: int, values: Iterable[int]) -> Iterator[int]:
+    """Yield the packed prefix normal form of Word(n, v) for every v, in order, by one lane loop.
+
+    The words run `_max_ones_by_counts`' unit steps side by side, in chunks
+    of `_LANES` lanes of n + 1 fields (the module docstring gives the
+    layout and why no field borrows and no step reads another lane).  A
+    lane's flag for length k is f(k) - f(k-1), letter k of the prefix
+    normal form, so the forms are read off the lanes with no profile
+    built.  The digits' spelling and the reading are the only work per
+    word; the length loop runs over whole chunks.  Values are read, and
+    forms yielded, one chunk at a time, so a caller may stream a level.
+    """
+    values = iter(values)
+    chunk = list(islice(values, _LANES))
+    lanes = len(chunk)  # fewer values than `_LANES` make one short chunk; only the last may be short
+    size = _position_fields(n).itemsize
+    width = 8 * size
+    lane_bits = width * (n + 1)
+    bottoms = ((1 << lane_bits * lanes) - 1) // ((1 << lane_bits) - 1)  # bit 0 of every lane
+    ones = ((1 << width * n) - 1) // ((1 << width) - 1)  # 1 in each of one lane's n fields
+    low = ((1 << width * n) - 1) * bottoms
+    tops = (ones << width - 1) * bottoms
+    guards = bottoms << width * n
+    # (shift, mask) of the log-step sums: field j adds field j + s while j + s <= n, the guard's 0 at most
+    steps = (1 << i for i in range((n - 1).bit_length()))  # s = 1, 2, 4, ... below n
+    sums = [(width * s, ((1 << width * (n + 1 - s)) - 1) * bottoms) for s in steps]
+    spec = f"0{n + 1}b"  # the guard's 0, then the letters
+    lane_bytes = size * (n + 1)
+    while chunk:
+        if min(chunk) < 0 or max(chunk) >> n:
+            raise ValueError("packed value does not fit the word length")
+        digits = "".join(map(format, chunk, repeat(spec))).encode().translate(_DIGIT_TO_BIT)
+        fields = bytearray(size * len(digits))
+        fields[size - 1 :: size] = digits  # each letter in the low byte of its field
+        counts = int.from_bytes(fields, "big")  # the chunk's first word in its top lane
+        for shift, mask in sums:
+            counts += counts >> shift & mask
+        biased = counts + tops - ones * bottoms  # each field + 2^(B-1) - 1 - v(0)
+        forms = 0
+        for _ in range(n):
+            counts = counts >> width & low
+            flags = (((biased - counts) & tops) + low & guards) >> width * n
+            biased -= flags * ones
+            forms = forms << 1 | flags
+        packed = forms.to_bytes(lane_bytes * lanes, "big")
+        first = lane_bytes * (lanes - len(chunk))  # a short last chunk leaves its top lanes empty
+        yield from [int.from_bytes(packed[i : i + lane_bytes], "big") for i in range(first, len(packed), lane_bytes)]
+        chunk = list(islice(values, lanes))
 
 
 def prefix_ones(w: Word) -> Profile:

@@ -9,7 +9,7 @@ from pnlab.cli import main
 from pnlab.collapse import CollapseClass
 from pnlab.limits import LimitExceededError
 from pnlab.verify import CHECKS
-from pnlab.words import prefix_ones, suffix_ones
+from pnlab.words import prefix_ones, reversed_bits, suffix_ones
 
 
 @pytest.mark.parametrize(
@@ -87,8 +87,17 @@ def _at(length, broken):
     return lambda original: lambda arg: broken(original, arg) if len(arg) == length else original(arg)
 
 
+def _forms_at(length, broken):
+    """Patch factory for `prefix_normal_forms`: broken(original, values) for words of `length` letters."""
+    return lambda original: lambda n, values: broken(original, values) if n == length else original(n, values)
+
+
 def _palindrome_dropped(original):
     return lambda n_max: ((n, words[1:] if n == 5 else words) for n, words in original(n_max))
+
+
+def _all_ones_dropped(original):
+    return lambda n_max: ((n, words[:-1] if n == 5 else words) for n, words in original(n_max))
 
 
 def _band_drops_last_class(original):
@@ -135,14 +144,27 @@ BROKEN_AT_5 = [
         "symminf", "max_ones", _at(6, lambda f, w: (0, f(w)[1] - 1, *f(w)[2:])),
         "00000 (asymmetric change at position 1)",
     ),
-    ("falsecollapse", "max_ones", _at(6, lambda f, w: ()), "11111 (unexpected overlap with 00000)"),
+    (
+        "falsecollapse", "prefix_normal_forms", _forms_at(6, lambda f, vs: [0 for _ in vs]),
+        "11111 (unexpected overlap with 00000)",
+    ),
+    # keys that never match, as the packed words themselves: the one overlap the theorem fixes goes missing
+    ("falsecollapse", "prefix_normal_forms", _forms_at(6, lambda f, vs: list(vs)), "00001 (no overlap with 00000)"),
     ("smallsum", "max_ones_sum", _at(6, lambda f, p: 0), "10001 (not dominated by extender 00011)"),
-    ("lexsmall", "is_suffix_normal", _at(6, lambda f, w: True), "00000 (all-zeros class should not extend)"),
-    ("lexsmall", "is_suffix_normal", _at(6, lambda f, w: False), "00001 (extending member is not the minimum alone)"),
+    (
+        "lexsmall", "prefix_normal_forms", _forms_at(6, lambda f, vs: [reversed_bits(v, 6) for v in vs]),
+        "00000 (all-zeros class should not extend)",
+    ),
+    (
+        "lexsmall", "prefix_normal_forms", _forms_at(6, lambda f, vs: [0 for _ in vs]),
+        "00001 (extending member is not the minimum alone)",
+    ),
     ("collapstheo", "iter_collapse_classes", _band_drops_last_class, "11111 (engines disagree)"),
     ("collapsindex", "iter_collapse_classes", _classes_claim_every_word, "00001 (size 33 above bound 2)"),
     ("notpal", "is_suffix_normal", _at(6, lambda f, w: True), "00000 (1-prepend unexpectedly canonical)"),
     ("notpal", "is_suffix_normal", _at(6, lambda f, w: False), "00000 (1-append unexpectedly not canonical)"),
+    # without 1^5 no palindrome's 1-prepend is canonical, and the witness the theorem fixes goes missing
+    ("notpal", "iter_prefix_normal_palindromes", _all_ones_dropped, "11111 (1-prepend not canonical)"),
     ("ww-w0w-1ww1", "is_prefix_normal_palindrome", _at(10, lambda f, v: True), "10001 (ww stayed prefix normal)"),
     ("ww-w0w-1ww1", "is_prefix_normal_palindrome", _at(11, lambda f, v: v[6] == 1), "10001 (w1w stayed prefix normal)"),
     (

@@ -12,6 +12,7 @@ from pnlab.words import (
     max_ones,
     max_ones_sum,
     parse_word,
+    prefix_normal_forms,
     prefix_ones,
     profile_text,
     reverse_progress,
@@ -239,6 +240,49 @@ class TestAgainstOracle:
         monkeypatch.setattr(words, "_max_ones_by_ones", refuse)
         monkeypatch.setattr(words, "_max_ones_by_zeros", refuse)
         assert [max_ones(w) for w in short] == expected[len(half) :]
+
+
+def form_of(w):
+    """The packed prefix normal form of w read off max_ones: letter k is f(k) - f(k-1)."""
+    f = max_ones(w)
+    return sum(f[k] - f[k - 1] << w.n - k for k in range(1, w.n + 1))
+
+
+class TestPrefixNormalForms:
+    @pytest.mark.parametrize("n", range(15))
+    def test_every_word(self, n):
+        # lists of 1, 7 and a chunk and 3 words: a lone lane, lanes past one another, and a short
+        # last chunk; the last list of each size is short too
+        values = list(range(1 << n))
+        expected = [form_of(Word(n, v)) for v in values]
+        for size in (1, 7, words._LANES + 3):
+            got = [form for i in range(0, len(values), size) for form in prefix_normal_forms(n, values[i : i + size])]
+            assert got == expected, size
+
+    def test_seeded_words_every_length(self):
+        # to n = 128 the fields are bytes and a lone 0 first takes a biased field to its low end at
+        # k = n; n = 129 takes the first 16-bit fields
+        rng = random.Random(129)
+        for n in range(1, 130):
+            values = [int("".join("01"[rng.random() < d] for _ in range(n)), 2) for d in (0.1, 0.5, 0.9) * 5]
+            values += [0, (1 << n) - 1, (1 << n - 1) - 1, 1 << n - 1]
+            assert list(prefix_normal_forms(n, values)) == [form_of(Word(n, v)) for v in values], n
+
+    def test_empty(self):
+        assert list(prefix_normal_forms(5, [])) == []
+        assert list(prefix_normal_forms(0, [])) == []
+        assert list(prefix_normal_forms(0, [0, 0])) == [0, 0]
+
+    def test_streams_its_values(self):
+        # a generator of values is read a chunk at a time, across the chunk edge
+        n = 11
+        values = range(words._LANES + 5)
+        assert list(prefix_normal_forms(n, iter(values))) == [form_of(Word(n, v)) for v in values]
+
+    @pytest.mark.parametrize("n,value", [(0, 1), (3, 8), (3, -1)])
+    def test_refuses_a_value_outside_n_letters(self, n, value):
+        with pytest.raises(ValueError, match="does not fit"):
+            list(prefix_normal_forms(n, [0, value]))
 
 
 def all_loops(w):
