@@ -22,10 +22,16 @@ Classes can be computed two ways:
   pairs lowers the top by one on its units: lowering the suffix counts
   at i moves a 1 of the extender one step left, from position n+1-i to
   n-i; each candidate is the extender with those letters moved, kept
-  after a direct collapse check.  Both profiles come from one `max_ones`
-  call, on w[1..n-1]: its g(k) is w's best length-k window that does not
-  end at n, so w's profile is max(g, s) for its suffix counts s, and the
-  bottom word's is max(1 + p(k-1), g(k)) for its prefix counts p.
+  after a direct collapse check.  Both profiles come from the profile g
+  of w[1..n-1]: g(k) is w's best length-k window that does not end at n,
+  so w's profile is max(g, s) for its suffix counts s, and the bottom
+  word's is max(1 + p(k-1), g(k)) for its prefix counts p.  The engine
+  reads g as the prefix counts of w[1..n-1]'s prefix normal form, which
+  `words.prefix_normal_forms` gives for the whole level in one lane loop;
+  the one-word callers take it from one `max_ones` call.  Either way
+  `_band` packs s, p and g into fields of one int each and decides every
+  test of the band, the extender checks included, with one biased
+  subtract over all positions at once.
 
 Both engines must agree; the test suites compare them exhaustively.
 Either way a class is a `CollapseClass`: its members as packed ints,
@@ -40,10 +46,11 @@ the band theorem the class is e with `candidate_collapsers(e)`
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import gt, lt
+from operator import sub
 
 from .limits import UsageError, check_length
 from .normality import (
@@ -51,10 +58,11 @@ from .normality import (
     is_suffix_normal,
     least_representative,
     lr_level,
+    prefix_normal_form,
     prepend_one_groups,
     prepend_one_profile,
 )
-from .words import Profile, Word, letters, max_ones
+from .words import Profile, Word, letters, max_ones, prefix_normal_forms
 
 
 def collapses(w: Word, v: Word) -> bool:
@@ -93,8 +101,8 @@ def lower_band_word(w: Word) -> Word:
     has a profile below its profile anywhere.  A word that is not an
     extender is refused as the band refuses it.
     """
-    _band(w)
     n = len(w)
+    _band(w.bits, n, _head_form(w))
     return Word(n, w.bits >> 1 | 1 << n - 1).reverse()
 
 
@@ -108,36 +116,80 @@ def adjusted_lower_band(w: Word) -> Profile:
     such collapsers from below; it is not itself guaranteed to belong to a
     collapsing word.
 
-    Both profiles come from one `max_ones` call, on w's first n-1 letters:
-    its g(k) is the best length-k window of w that does not end at n.  So
-    w is a least representative exactly when g <= s, its suffix counts, and
-    the bottom word 1·w[1..n-1], reversed (which keeps the profile), has
-    profile max(1 + p(k-1), g(k)) for k < n and 1 + p(n-1) at n.
+    Let g be the profile of w's first n-1 letters: g(k) is the best
+    length-k window of w that does not end at n.  So w is a least
+    representative exactly when g <= s, its suffix counts, and the bottom
+    word 1·w[1..n-1], reversed (which keeps the profile), has profile
+    max(1 + p(i-1), g(i)) for i < n and 1 + p(n-1) at n, for w's prefix
+    counts p.  That profile is s or s - 1 at each i, and it drops below s
+    exactly when D(i) = [p(i-1) + 2 <= s(i)] and [g(i) < s(i)].  So the
+    bottom is s minus 1 where D(i) and D(n+1-i) both hold (`_band`).  g
+    comes from one `max_ones` call here; the band engine reads it off the
+    level's forms.
     """
-    return _band(w)[1]
+    n = len(w)
+    x = letters(w.bits, n)
+    return (0, *map(sub, accumulate(x[::-1]), letters(_band(w.bits, n, _head_form(w)), n)))
 
 
-def _band(w: Word) -> tuple[Profile, Profile]:
-    """(top, bottom) of the extender w's band: its suffix counts and
-    `adjusted_lower_band(w)`, read with its prefix counts off one `max_ones` call."""
-    n, bits = w.n, w.bits
-    if bits == 0:
+def _head_form(w: Word) -> int:
+    """The prefix normal form of w's first n-1 letters, by one `max_ones` call: the one-word
+    callers' g for `_band`.  A zero-weight word is refused first, as it has no band."""
+    if not w.bits:
         raise ValueError("zero-weight words have no collapse band")
+    return prefix_normal_form(Word(len(w) - 1, w.bits >> 1)).bits
+
+
+# the digits of `_band`'s flags, one byte of value 0 or 1 per position
+_BIT_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _band(bits: int, n: int, form: int) -> int:
+    """The open units of the extender w = Word(n, bits): bit n-i set where the band's bottom is
+    one below its top at i, for g the prefix counts of `form`, the prefix normal form of w[1..n-1].
+
+    s(i), p(i-1) and g(i) are packed into n fields of B bits, position i in field n - i, with
+    g(n) = 0 and B the narrowest whole-byte width with 2^(B-1) > n: one byte up to 127 letters.
+    Each test below is one biased subtract over all fields: field n - i of (S | tops) - X - c·ones
+    holds 2^(B-1) + s(i) - x(i) - c, whose top bit is [x(i) + c <= s(i)].  No field borrows, as
+    in `normality._walk`.  s(i) <= n < 2^(B-1) lets the OR add the top bits, and p(i-1) and
+    g(i) lie in 0..n - 1, so before the subtract of c·ones a field lies in
+    2^(B-1) - n .. 2^(B-1) + n, inside 0..2^B - 1.  The first test is g <= s, where c = 0;
+    once it holds, w is suffix normal, so p(i-1) <= s(i) as well, and the later tests, with
+    c <= 3, stay at or above 2^(B-1) - 3.  The tests, in order:
+
+    * w is a least representative exactly when g <= s on 1..n-1;
+    * it extends exactly when p(i-1) < s(i) on 1..n (`extends_by_one`);
+    * the bottom word's profile max(1 + p(i-1), g(i)) may not drop two below s(i);
+    * D(i) = [p(i-1) + 2 <= s(i)] and [g(i) + 1 <= s(i)], where it drops one below.
+
+    Unit i is open when D(i) and D(n+1-i): the flags are read as an n-bit int and ANDed with
+    their own reversal.
+    """
     x = letters(bits, n)
-    p, s = tuple(accumulate(x, initial=0)), tuple(accumulate(x[::-1], initial=0))
-    g = max_ones(Word(n - 1, bits >> 1))
-    if any(map(gt, g, s)):
-        raise ValueError(f"{w} is not a least representative")
-    if not all(map(lt, p, s[1:])):  # `extends_by_one` on the counts at hand
-        raise ValueError(f"{w} does not extend to a least representative")
-    fu = (0, *map(max, (v + 1 for v in p[: n - 1]), g[1:]), p[n - 1] + 1)
-    bottom = list(fu)
-    for i in range(1, n + 1):
-        if fu[i] not in (s[i], s[i] - 1):
-            raise AssertionError("band bottom strays more than one below the top")
-        if fu[i] != s[i] and fu[n - i + 1] == s[n - i + 1]:
-            bottom[i] += 1
-    return s, tuple(bottom)
+    size = (n.bit_length() + 8) // 8
+    width = 8 * size
+    ones = int.from_bytes((b"\x00" * (size - 1) + b"\x01") * n, "big")
+    tops = ones << width - 1
+    suffix = _fields(accumulate(x[::-1]), size) | tops
+    above_p = suffix - _fields(accumulate(x[:-1], initial=0), size)  # 2^(B-1) + s(i) - p(i-1)
+    above_g = suffix - (_fields(accumulate(letters(form, n - 1)), size) << width)  # 2^(B-1) + s(i) - g(i)
+    if above_g & tops != tops:
+        raise ValueError(f"{Word(n, bits)} is not a least representative")
+    if above_p - ones & tops != tops:
+        raise ValueError(f"{Word(n, bits)} does not extend to a least representative")
+    if above_p - 3 * ones & above_g - 2 * ones & tops:
+        raise AssertionError("band bottom strays more than one below the top")
+    drops = (above_p - 2 * ones & above_g - ones & tops) >> width - 1
+    digits = drops.to_bytes(size * n, "big")[size - 1 :: size].translate(_BIT_TO_DIGIT)
+    return int(digits, 2) & int(digits[::-1], 2)
+
+
+def _fields(counts: Iterable[int], size: int) -> int:
+    """The counts as fields of `size` bytes of one int, the first in the highest field."""
+    if size == 1:
+        return int.from_bytes(bytes(counts), "big")
+    return int.from_bytes(b"".join(count.to_bytes(size, "big") for count in counts), "big")
 
 
 def validate_lr_profile(s: Profile) -> bool:
@@ -170,11 +222,20 @@ def candidate_collapsers(w: Word) -> list[Word]:
     so the cheap comparison runs first and the `max_ones` call after it.
     """
     n = len(w)
-    upper, lower = _band(w)
-    target = (*upper, upper[n] + 1)
+    return [Word(n, bits) for bits in _collapsers(w.bits, n, _head_form(w))]
+
+
+def _collapsers(bits: int, n: int, form: int) -> list[int]:
+    """`candidate_collapsers` of Word(n, bits) as increasing packed ints, for `form` the
+    prefix normal form of its first n-1 letters."""
+    opened = _band(bits, n, form)
+    if not opened:
+        return []
     # unit {i, n-i+1} is open where the band's ends differ at i, up to the middle;
     # an odd middle unit is one bit, and unit {1, n} is never open, so no move leaves the word
-    units = [1 << i - 1 | 1 << n - i for i in range(1, (n + 1) // 2 + 1) if lower[i] != upper[i]]
+    units = [1 << i - 1 | 1 << n - i for i in range(1, (n + 1) // 2 + 1) if opened >> i - 1 & 1]
+    x = letters(bits, n)
+    target = (0, *accumulate(x[::-1]), bits.bit_count() + 1)
 
     # the lowered units of every subset, the empty one first
     masks = [0]
@@ -183,13 +244,13 @@ def candidate_collapsers(w: Word) -> list[Word]:
     found: list[int] = []
     for lowered in masks[1:]:
         moved = lowered ^ lowered << 1
-        if (w.bits ^ lowered) & moved:
+        if (bits ^ lowered) & moved:
             continue
-        cand = w.bits ^ moved
+        cand = bits ^ moved
         if prepend_one_profile(cand, n) == target and is_suffix_normal(Word(n, cand)):
             found.append(cand)
     # subset order is not word order: four-member classes come out unsorted from n = 9
-    return [Word(n, bits) for bits in sorted(found)]
+    return sorted(found)
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,17 +288,19 @@ def collapse_classes(n: int, engine: str = "brute") -> list[CollapseClass]:
     if engine != "band":
         raise ValueError(f"unknown engine {engine!r}")
     level = lr_level(n)
+    # the prefix normal forms of every word's first n-1 letters, for the extenders' bands
+    forms = prefix_normal_forms(n - 1, (bits >> 1 for bits in level)) if n else [0]
     claimed: set[int] = set()
     classes: list[CollapseClass] = []
-    for bits in level:
+    for bits, form in zip(level, forms):
         if bits in claimed:
             continue
         packed = [bits]
         if bits:
-            for v in candidate_collapsers(Word(n, bits)):
-                if v.bits in claimed or v.bits <= bits:
-                    raise RuntimeError(f"band engine produced an out-of-order collapser {v}")
-                packed.append(v.bits)
+            for v in _collapsers(bits, n, form):
+                if v in claimed or v <= bits:
+                    raise RuntimeError(f"band engine produced an out-of-order collapser {Word(n, v)}")
+                packed.append(v)
         claimed.update(packed)
         classes.append(CollapseClass(n, tuple(packed)))
     if len(claimed) != len(level):

@@ -20,12 +20,14 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import wraps
-from itertools import islice, zip_longest
+from itertools import accumulate, islice, zip_longest
+from operator import gt, ne
 
 from . import limits
 from .collapse import index_bounds, iter_collapse_classes, validate_lr_profile
 from .normality import (
     count_least_representatives,
+    count_one_prepends,
     is_suffix_normal,
     iter_class_partitions,
     iter_lr_levels,
@@ -36,7 +38,7 @@ from .palindromes import (
     is_prefix_normal_palindrome_by_profile,
     iter_prefix_normal_palindromes,
 )
-from .words import Word, max_ones, max_ones_sum, prefix_normal_forms, prefix_ones, reversed_bits, suffix_ones
+from .words import Word, letters, max_ones_sum, prefix_normal_forms, prefix_ones, reversed_bits, suffix_ones
 
 RANDOM_SEED = 0x5EED
 EXHAUSTIVE_PROFILE_LIMIT = 16
@@ -150,15 +152,24 @@ def check_pchar(n_max: int):
 
 @suite("symminf", "1-prepend profile changes appear at mirror positions")
 def check_symminf(n_max: int):
-    """Profile changes caused by prepending 1 appear at mirror positions."""
+    """Profile changes caused by prepending 1 appear at mirror positions, and
+    they appear on 1..n for exactly the least representatives that do not
+    extend (`extends_by_one`): len(level) minus those that `count_one_prepends`
+    counts.  Each profile is the prefix counts of its prefix normal form, which
+    one lane loop gives for the level and one for its 1-prepends."""
+    extending = count_one_prepends(n_max)
     for n, level in iter_lr_levels(n_max):
-        for bits in level:
-            w = Word(n, bits)
-            f = max_ones(w)
-            f1 = max_ones(w.prepend(1))
-            for i in range(1, n + 1):
-                if (f1[i] != f[i]) != (f1[n - i + 1] != f[n - i + 1]):
-                    raise Counterexample(w, f"asymmetric change at position {i}")
+        changed = 0
+        forms = zip(level, prefix_normal_forms(n, level), prefix_normal_forms(n + 1, (v | 1 << n for v in level)))
+        for bits, form, form1 in forms:
+            # f1(i) != f(i) for i = 1..n: map stops with the shorter profile
+            changes = bytes(map(ne, accumulate(letters(form1, n + 1)), accumulate(letters(form, n))))
+            if changes != changes[::-1]:
+                i = next(i for i in range(1, n + 1) if changes[i - 1] != changes[n - i])
+                raise Counterexample(Word(n, bits), f"asymmetric change at position {i}")
+            changed += any(changes)
+        if changed != len(level) - extending[n]:
+            raise Counterexample(f"n={n}", f"{changed} profiles change, expected {len(level) - extending[n]}")
         yield f"PASS n={n}"
 
 
@@ -183,17 +194,20 @@ def check_falsecollapse(n_max: int):
 
 @suite("smallsum", "extenders dominate their class profiles")
 def check_smallsum(n_max: int):
-    """Extenders dominate their class pointwise and strictly in profile sum."""
+    """Extenders dominate their class pointwise and strictly in profile sum.
+    Each member's profile is the prefix counts of its prefix normal form,
+    which one lane loop gives for every member of the level."""
     for n, classes in islice(iter_collapse_classes(n_max), 1, None):
+        forms = prefix_normal_forms(n, (bits for cls in classes for bits in cls.packed))
         for cls in classes:
+            # zip tests cls.packed first, so it reads no form past the class
+            fe, *others = [tuple(accumulate(letters(form, n), initial=0)) for _, form in zip(cls.packed, forms)]
             if cls.extender.bits == 0:
                 continue
-            fe = max_ones(cls.extender)
             se = max_ones_sum(fe)
-            for v in cls.members[1:]:
-                fv = max_ones(v)
-                if any(fv[i] > fe[i] for i in range(n + 1)) or max_ones_sum(fv) >= se:
-                    raise Counterexample(v, f"not dominated by extender {cls.extender}")
+            for v, fv in zip(cls.packed[1:], others):
+                if any(map(gt, fv, fe)) or max_ones_sum(fv) >= se:
+                    raise Counterexample(Word(n, v), f"not dominated by extender {cls.extender}")
         yield f"PASS n={n}"
 
 

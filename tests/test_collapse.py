@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -25,10 +27,11 @@ from pnlab.normality import (
     enumerate_least_representatives,
     extends_by_one,
     is_suffix_normal,
+    least_representative,
     lr_level,
     profile_increments_word,
 )
-from pnlab.words import Word, max_ones, max_ones_sum, parse_word, suffix_ones
+from pnlab.words import Word, max_ones, max_ones_sum, parse_word, prefix_normal_forms, suffix_ones
 
 # golden profile rows for the length-17 worked example
 F_W = (0, 1, 2, 3, 4, 5, 5, 6, 7, 8, 8, 8, 9, 10, 10, 11, 12, 13)
@@ -138,8 +141,8 @@ class TestBand:
             adjusted_lower_band(parse_word("1001"))
 
     def test_refuses_every_word_that_is_not_an_extender(self):
-        # one max_ones call on w's first n-1 letters validates w, in the order and words of the
-        # explicit checks: not suffix normal first, then not extending
+        # the band's packed tests on w's first n-1 letters validate w, in the order and words of
+        # the explicit checks: not suffix normal first, then not extending
         for fn in (adjusted_lower_band, candidate_collapsers, lower_band_word):
             for w in (Word(0, 0), Word(5, 0)):
                 with pytest.raises(ValueError, match="^zero-weight words have no collapse band$"):
@@ -161,18 +164,42 @@ class TestBand:
 
     def test_bottom_is_the_lifted_lower_band_word(self):
         # the definition: the profile of lower_band_word(w), raised by one wherever it is below
-        # w's profile on one side of a mirror pair only
-        for n in range(1, 13):
-            for bits in lr_level(n):
-                if not bits or not extends_by_one(bits, n):
-                    continue
+        # w's profile on one side of a mirror pair only; on every extender to n = 12, and on seeded
+        # extenders of 120-130 letters, where the band's fields widen from one byte to two at 128
+        # and the all-ones word's suffix counts pass 127
+        extenders = [Word(n, bits) for n in range(1, 13) for bits in lr_level(n) if bits and extends_by_one(bits, n)]
+        rng = random.Random(120)
+        for n in range(120, 131):
+            for density in (0.5, 0.5, 0.97, 1):
+                w = least_representative(Word(n, int("".join("01"[rng.random() < density] for _ in range(n)), 2)))
+                if not extends_by_one(w.bits, n):  # its class's extender, as `collapse_class` finds it
+                    w = Word(n, least_representative(w.prepend(1)).bits ^ 1 << n)
+                assert extends_by_one(w.bits, n)
+                extenders.append(w)
+        for w in extenders:
+            n = len(w)
+            fu, fw = max_ones(lower_band_word(w)), max_ones(w)
+            lifts = [0, *(fu[i] != fw[i] and fu[n - i + 1] == fw[n - i + 1] for i in range(1, n + 1))]
+            assert adjusted_lower_band(w) == tuple(map(add, fu, lifts)), w
+
+    def test_level_forms_give_the_one_word_band(self):
+        # the band engine reads each extender's g off the level's forms, the one-word callers off
+        # max_ones; both give the same band, and a word that is not an extender is refused alike
+        for n in range(1, 15):
+            level = lr_level(n)
+            for bits, form in zip(level, prefix_normal_forms(n - 1, (v >> 1 for v in level))):
                 w = Word(n, bits)
-                fu, fw = max_ones(lower_band_word(w)), max_ones(w)
-                lifted = [fu[0]]
-                for i in range(1, n + 1):
-                    lift = fu[i] != fw[i] and fu[n - i + 1] == fw[n - i + 1]
-                    lifted.append(fu[i] + 1 if lift else fu[i])
-                assert adjusted_lower_band(w) == tuple(lifted), w
+                if not bits:
+                    continue
+                if not extends_by_one(bits, n):
+                    with pytest.raises(ValueError, match=f"^{w} does not extend to a least representative$"):
+                        collapse._collapsers(bits, n, form)
+                    continue
+                assert collapse._band(bits, n, form) == collapse._band(bits, n, collapse._head_form(w))
+                assert collapse._collapsers(bits, n, form) == [v.bits for v in candidate_collapsers(w)]
+        # 0110 is not suffix normal: g, the profile of 011, exceeds its suffix counts at 2
+        with pytest.raises(ValueError, match="^0110 is not a least representative$"):
+            collapse._collapsers(0b0110, 4, 0b110)
 
     def test_band_invariants(self):
         for n in range(1, 12):
@@ -264,10 +291,10 @@ class TestClasses:
         assert walked == [(n, direct(n, engine)) for n in range(7)]
 
     def test_band_engine_work(self, monkeypatch):
-        # one max_ones call per extender, on its first n-1 letters, validates it and gives its
-        # band (576 at n = 12); a candidate is its extender with letters moved, its 1-prepend
-        # profile is read only when it moves letters the extender has (314 candidates), and only
-        # a match is checked for suffix normality (139 more max_ones calls)
+        # the extenders' bands come from the level's prefix normal forms, with no max_ones call; a
+        # candidate is its extender with letters moved, its 1-prepend profile is read only when it
+        # moves letters the extender has (314 candidates), and only a match is checked for suffix
+        # normality (139 max_ones calls)
         calls = {max_ones: 0, prepend_one_profile: 0}
 
         def counted(f):
@@ -281,19 +308,19 @@ class TestClasses:
             monkeypatch.setattr(module, "max_ones", counted(max_ones))
         monkeypatch.setattr(collapse, "prepend_one_profile", counted(prepend_one_profile))
         collapse_classes(12, "band")
-        assert calls[max_ones] <= 715 and calls[prepend_one_profile] <= 314
+        assert calls[max_ones] <= 139 and calls[prepend_one_profile] <= 314
 
     @pytest.mark.parametrize(
         "stray,message",
         [
-            (lambda w: [w], "out-of-order collapser 0001"),
+            (lambda bits, n, form: [bits], "out-of-order collapser 0001"),
             # 1000 is not suffix normal, so the classes claim one word more than the level holds
-            (lambda w: [Word(4, 0b1000)] if w.bits == 1 else [], "failed to cover"),
+            (lambda bits, n, form: [0b1000] if bits == 1 else [], "failed to cover"),
         ],
         ids=["not-above-the-extender", "outside-the-level"],
     )
     def test_band_engine_rejects_a_stray_candidate(self, monkeypatch, stray, message):
-        monkeypatch.setattr(collapse, "candidate_collapsers", stray)
+        monkeypatch.setattr(collapse, "_collapsers", stray)
         with pytest.raises(RuntimeError, match=message):
             collapse_classes(4, "band")
 

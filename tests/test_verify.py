@@ -140,9 +140,15 @@ BROKEN_AT_5 = [
         "00000 (singleton classes differ from palindromes)",
     ),
     ("pchar", "validate_lr_profile", _at(6, lambda f, s: False), "00000 (profile violates the shape inequalities)"),
+    # 00000 read as 00011: its profile 0,0,0,1,2 against 1,1,1,1,1 after the 1-prepend changes on 1..5 but 4
     (
-        "symminf", "max_ones", _at(6, lambda f, w: (0, f(w)[1] - 1, *f(w)[2:])),
-        "00000 (asymmetric change at position 1)",
+        "symminf", "prefix_normal_forms", _forms_at(5, lambda f, vs: [form or 0b11 for form in f(5, vs)]),
+        "00000 (asymmetric change at position 2)",
+    ),
+    # the 0-prepends' forms for the 1-prepends': no profile changes, where 5 of the 14 words do not extend
+    (
+        "symminf", "prefix_normal_forms", _forms_at(6, lambda f, vs: f(6, [v ^ 1 << 5 for v in vs])),
+        "n=5 (0 profiles change, expected 5)",
     ),
     (
         "falsecollapse", "prefix_normal_forms", _forms_at(6, lambda f, vs: [0 for _ in vs]),
