@@ -54,7 +54,7 @@ def cmd_sequence(args) -> int:
     elif args.name == "pn-count":
         rows = enumerate(normality.count_least_representatives(n_max))
     elif args.name == "npal":
-        rows = ((n, len(words)) for n, words in palindromes.iter_prefix_normal_palindromes(n_max))
+        rows = ((n, len(packed)) for n, packed in palindromes.iter_prefix_normal_palindromes(n_max))
     elif args.name == "collapse-classes":
         # lexsmall theorem: one member per class extends, except in the all-zeros class
         rows = ((m, kept + 1) for m, kept in enumerate(normality.count_one_prepends(n_max)))
@@ -203,12 +203,10 @@ def cmd_enumerate(args) -> int:
         _write_lines(classes, record)
         return 0
     # lines are spelled from packed ints: a `Word` and a `print` per line took longer than the walk
-    if args.pnpals:
-        if args.oracle:
-            words = oracle.brute_prefix_normal_palindromes(n)
-        else:
-            words = palindromes.enumerate_prefix_normal_palindromes(n).words
-        level = [w.bits for w in words]
+    if args.pnpals and args.oracle:
+        level = [w.bits for w in oracle.brute_prefix_normal_palindromes(n)]
+    elif args.pnpals:
+        level = palindromes.enumerate_prefix_normal_palindromes(n).packed
     elif args.oracle:
         level = [w.bits for w in oracle.brute_least_representatives(n)]
     else:

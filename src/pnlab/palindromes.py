@@ -12,7 +12,8 @@ representative: enumeration mirrors each member of that level into a
 palindrome, instead of walking all 2^ceil(n/2) free halves, and keeps a
 candidate exactly when it is its own prefix normal form, which
 `words.prefix_normal_forms` answers for the whole level in one lane loop.
-Level m serves lengths 2m - 1 and 2m.  The profile test
+Level m serves lengths 2m - 1 and 2m, whose palindromes are handed on
+as increasing packed ints, like a level.  The profile test
 `is_prefix_normal_palindrome_by_profile` stays the test of one word.
 """
 
@@ -50,37 +51,33 @@ def is_prefix_normal_palindrome_by_profile(w: Word) -> bool:
     return all(f[k] + f[n - k] == f[n] for k in range(2, n // 2 + 1))
 
 
-def palindrome_from_tail(n: int, tail: int) -> Word:
-    """The length-n palindrome whose last ceil(n/2) letters are the packed value `tail`:
-    p = t | rev_n(t), the tail OR its reversal at length n, which share only the
-    middle letter of an odd n, where they agree."""
-    if tail >> (n + 1) // 2:
-        raise ValueError("tail value does not fit")
-    return Word(n, tail | reversed_bits(tail, n))
-
-
 @dataclass(frozen=True)
 class PnPalRecord:
+    """The prefix normal palindromes of length n as packed ints, increasing."""
+
     n: int
-    words: tuple[Word, ...]
+    packed: tuple[int, ...]
+
+    @property
+    def words(self) -> tuple[Word, ...]:
+        return tuple(Word(self.n, bits) for bits in self.packed)
 
     @property
     def count(self) -> int:
-        return len(self.words)
+        return len(self.packed)
 
 
-def _palindromes_from_tails(n: int, tails: list[int]) -> tuple[Word, ...]:
-    """Prefix normal palindromes of length n, from the least representatives
-    of length ceil(n/2) as their tails, sorted by packed value: the words'
-    order, as they all have length n.  A candidate is kept when it equals
-    its prefix normal form: it is a palindrome by construction, and prefix
-    normal exactly when it is the one prefix normal word of its class."""
-    candidates = [tail | reversed_bits(tail, n) for tail in tails]  # `palindrome_from_tail`, unchecked
-    kept = sorted(c for c, form in zip(candidates, prefix_normal_forms(n, candidates)) if c == form)
-    return tuple(Word(n, bits) for bits in kept)
+def _palindromes_from_tails(n: int, tails: list[int]) -> tuple[int, ...]:
+    """Prefix normal palindromes of length n as increasing packed ints, from
+    the least representatives of length ceil(n/2) as their tails.  Tail t
+    gives the candidate t | rev_n(t), kept when it equals its prefix normal
+    form: it is a palindrome by construction, and prefix normal exactly
+    when it is the one prefix normal word of its class."""
+    candidates = [tail | reversed_bits(tail, n) for tail in tails]
+    return tuple(sorted(c for c, form in zip(candidates, prefix_normal_forms(n, candidates)) if c == form))
 
 
-def _palindromes_of_length(n: int) -> tuple[Word, ...]:
+def _palindromes_of_length(n: int) -> tuple[int, ...]:
     check_length(n, max_palindrome_length(), kind="palindrome enumeration")
     return _palindromes_from_tails(n, lr_level((n + 1) // 2))
 
@@ -91,11 +88,11 @@ def count_prefix_normal_palindromes(n: int) -> int:
 
 def enumerate_prefix_normal_palindromes(n: int) -> PnPalRecord:
     """All prefix normal palindromes of length n, lexicographically."""
-    return PnPalRecord(n=n, words=_palindromes_of_length(n))
+    return PnPalRecord(n, _palindromes_of_length(n))
 
 
 def iter_prefix_normal_palindromes(n_max: int):
-    """Yield (n, words) for n = 0..n_max, words as in
+    """Yield (n, packed) for n = 0..n_max, packed as in
     `enumerate_prefix_normal_palindromes`, from one walk over the levels.
 
     Like any generator, it checks n_max against the cap at the first `next`.

@@ -98,16 +98,23 @@ def suite(name: str, description: str):
 @suite("palchar", "palindrome test by definition equals the profile-mirror test")
 def check_palchar(n_max: int):
     """Palindrome test by definition and by profile mirror must agree: on
-    every word up to EXHAUSTIVE_PROFILE_LIMIT letters, on seeded random words beyond."""
+    every word up to EXHAUSTIVE_PROFILE_LIMIT letters, where the words both
+    accept number npal(n) of the scan, and on seeded random words beyond."""
     limits.check_length(n_max, kind="palindrome test")
+    npal = [len(packed) for _, packed in iter_prefix_normal_palindromes(min(n_max, EXHAUSTIVE_PROFILE_LIMIT))]
     rng = random.Random(RANDOM_SEED)
     for n in range(n_max + 1):
         exhaustive = n <= EXHAUSTIVE_PROFILE_LIMIT
         count = 1 << n if exhaustive else RANDOM_WORDS_PER_LENGTH
+        accepted = 0
         for value in range(count):
             w = Word(n, value if exhaustive else rng.getrandbits(n))
-            if is_prefix_normal_palindrome(w) != is_prefix_normal_palindrome_by_profile(w):
+            by_definition = is_prefix_normal_palindrome(w)
+            if by_definition != is_prefix_normal_palindrome_by_profile(w):
                 raise Counterexample(w, "definition and profile test disagree")
+            accepted += by_definition
+        if exhaustive and accepted != npal[n]:
+            raise Counterexample(f"n={n}", f"{accepted} words pass both tests, expected npal({n}) = {npal[n]}")
         yield f"PASS n={n} words={count} ({'exhaustive' if exhaustive else 'random'})"
 
 
@@ -132,11 +139,10 @@ def check_leastsuffix(n_max: int):
 @suite("corlol", "singleton classes are exactly the prefix normal palindromes")
 def check_corlol(n_max: int):
     """Singleton classes are exactly the prefix normal palindromes."""
-    for (n, words), part in zip(iter_prefix_normal_palindromes(n_max), iter_class_partitions(n_max)):
-        singles = {cls.lr for cls in part.classes.values() if cls.size == 1}  # a set needs no order
-        pals = set(words)
-        if singles != pals:
-            raise Counterexample((singles ^ pals).pop(), "singleton classes differ from palindromes")
+    for (n, packed), part in zip(iter_prefix_normal_palindromes(n_max), iter_class_partitions(n_max)):
+        singles = {cls.lr.bits for cls in part.classes.values() if cls.size == 1}
+        if wrong := singles.symmetric_difference(packed):
+            raise Counterexample(Word(n, min(wrong)), "singleton classes differ from palindromes")
         yield f"PASS n={n} singletons={len(singles)}"
 
 
@@ -202,7 +208,7 @@ def check_smallsum(n_max: int):
         for cls in classes:
             # zip tests cls.packed first, so it reads no form past the class
             fe, *others = [tuple(accumulate(letters(form, n), initial=0)) for _, form in zip(cls.packed, forms)]
-            if cls.extender.bits == 0:
+            if cls.packed[0] == 0:
                 continue
             se = max_ones_sum(fe)
             for v, fv in zip(cls.packed[1:], others):
@@ -222,7 +228,7 @@ def check_lexsmall(n_max: int):
         for cls in classes:
             pairs = zip(cls.packed, forms)  # zip tests cls.packed first, so it reads no form past the class
             extending = {bits for bits, form in pairs if reversed_bits(form, n + 1) == bits | 1 << n}
-            if cls.extender.bits == 0:
+            if cls.packed[0] == 0:
                 if extending:
                     raise Counterexample(cls.extender, "all-zeros class should not extend")
             elif extending != {cls.packed[0]}:
@@ -243,17 +249,19 @@ def check_collapstheo(n_max: int):
 
 @suite("collapsindex", "palindromic-distance bound dominates collapse-class sizes")
 def check_collapsindex(n_max: int):
-    """The palindromic-distance bound dominates every collapse-class size."""
+    """The palindromic-distance bound dominates every collapse-class size.
+    Only the all-zeros class, of size 1, has no bound."""
     for n, classes in islice(iter_collapse_classes(n_max), 1, None):
-        worst = 1
+        unbounded = 0
         for cls in classes:
             bound = cls.bound
             if bound is None:
-                continue
-            if cls.size > bound:
+                unbounded += 1
+            elif cls.size > bound:
                 raise Counterexample(cls.extender, f"size {cls.size} above bound {bound}")
-            worst = max(worst, cls.size)
-        yield f"PASS n={n} max-class-size={worst}"
+        if unbounded != 1:
+            raise Counterexample(f"n={n}", f"{unbounded} classes have no bound, expected 1")
+        yield f"PASS n={n} max-class-size={max(cls.size for cls in classes)}"
 
 
 def bounds_by_length(n_max: int):
@@ -261,7 +269,7 @@ def bounds_by_length(n_max: int):
     if n_max < 2:
         raise limits.UsageError(f"index bounds start at length 2, so there are none up to length {n_max}")
     counts = count_least_representatives(n_max + 1)
-    pal = [len(words) for _, words in iter_prefix_normal_palindromes(n_max + 1)]
+    pal = [len(packed) for _, packed in iter_prefix_normal_palindromes(n_max + 1)]
     for n in range(2, n_max + 1):
         yield n, counts[n + 1], index_bounds(counts[n], pal[n - 1], pal[n + 1], pal[n])
 
@@ -280,15 +288,15 @@ def check_notpal(n_max: int):
     """Appending 1 to a prefix normal palindrome always gives a least
     representative, and prepending 1 does so for all-ones alone, as
     1^(n+1) is one: the palindromes whose 1-prepend is one are {1^n}."""
-    for n, words in islice(iter_prefix_normal_palindromes(n_max), 1, None):
-        for w in words:
-            if not is_suffix_normal(w.append(1)):
-                raise Counterexample(w, "1-append unexpectedly not canonical")
-        extending = {w for w in words if is_suffix_normal(w.prepend(1))}
-        wrong = extending ^ {Word.ones(n)}
-        if wrong:
-            w = min(wrong)
-            raise Counterexample(w, "1-prepend unexpectedly canonical" if w in extending else "1-prepend not canonical")
+    for n, packed in islice(iter_prefix_normal_palindromes(n_max), 1, None):
+        for bits in packed:
+            if not is_suffix_normal(Word(n + 1, bits << 1 | 1)):
+                raise Counterexample(Word(n, bits), "1-append unexpectedly not canonical")
+        extending = {bits for bits in packed if is_suffix_normal(Word(n + 1, bits | 1 << n))}
+        if wrong := extending ^ {(1 << n) - 1}:
+            bits = min(wrong)
+            detail = "1-prepend unexpectedly canonical" if bits in extending else "1-prepend not canonical"
+            raise Counterexample(Word(n, bits), detail)
         yield f"PASS n={n}"
 
 
@@ -297,26 +305,22 @@ def check_ww_family(n_max: int):
     """Doubling constructions: ww and w1w never stay prefix normal
     palindromes; w0w forces a single 0 after the leading 1-run; 1ww1
     forces the word to start 10."""
-    one = Word(1, 1)
-    zero = Word(1, 0)
-    for n, words in islice(iter_prefix_normal_palindromes(n_max), 1, None):
+    for n, packed in islice(iter_prefix_normal_palindromes(n_max), 1, None):
         all_ones = (1 << n) - 1
-        for w in words:
-            if w.bits in (0, all_ones):
-                continue
+        for bits in packed:
+            if bits in (0, all_ones):
+                continue  # so n >= 2 below
+            w = Word(n, bits)
             if is_prefix_normal_palindrome(w + w):
                 raise Counterexample(w, "ww stayed prefix normal")
-            if is_prefix_normal_palindrome(w + one + w):
+            if is_prefix_normal_palindrome(w.append(1) + w):
                 raise Counterexample(w, "w1w stayed prefix normal")
-            if n >= 3 and is_prefix_normal_palindrome(w + zero + w):
-                k = 0
-                while w[k + 1] == 1:
-                    k += 1
-                if not (k + 2 <= n and w[k + 1] == 0 and w[k + 2] == 1):
+            if n >= 3 and is_prefix_normal_palindrome(w.append(0) + w):
+                z = (all_ones ^ bits).bit_length()  # the first 0 is bit z - 1, the letter after it bit z - 2
+                if not (z >= 2 and bits >> z - 2 & 1):
                     raise Counterexample(w, "w0w without the single-zero shape")
-            if is_prefix_normal_palindrome(one + w + w + one):
-                if not (w[1] == 1 and n >= 2 and w[2] == 0):
-                    raise Counterexample(w, "1ww1 without a 10 prefix")
+            if is_prefix_normal_palindrome(w.prepend(1) + w.append(1)) and bits >> n - 2 != 0b10:
+                raise Counterexample(w, "1ww1 without a 10 prefix")
         yield f"PASS n={n}"
 
 

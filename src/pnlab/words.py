@@ -265,11 +265,11 @@ def max_ones(w: Word) -> Profile:
     2.8 / 13 / 5-8 ms against 55-62 ms by prefix counts.  The band
     where positions lose is n = 64-127 at densities 0.45-0.55: 0.82-1.14x,
     at most 4 µs on calls of 16-39 µs, and no benchmark workload sends
-    such a word.  At n = 12-24 the position loop ran at 0.7-1.2x the
-    prefix counts for densities 1/4 to 3/4: its setup, three C passes
-    over the letters, costs what its narrower ints save.  So the words of
-    24 letters or fewer that the palindrome scans and the band engine
-    pass keep the prefix-count loop.
+    such a word.  Below 64 letters the position loops took 1.2-1.4x the
+    prefix counts' time at n = 12-24 and 1.0-1.4x at most of 4-63 (best
+    of 9 runs over 2000 seeded words per length).  Short words still come
+    from `verify palchar`, the band search's suffix normality check and
+    one-word calls.
     """
     n = w.n
     if n < _POSITION_LOOP_MIN_LENGTH:

@@ -2,7 +2,6 @@ import pytest
 
 from pnlab import oracle
 from pnlab.limits import LimitExceededError
-from pnlab.normality import iter_lr_levels
 from pnlab.palindromes import (
     count_prefix_normal_palindromes,
     enumerate_prefix_normal_palindromes,
@@ -10,7 +9,6 @@ from pnlab.palindromes import (
     is_prefix_normal_palindrome,
     is_prefix_normal_palindrome_by_profile,
     iter_prefix_normal_palindromes,
-    palindrome_from_tail,
 )
 from pnlab.words import Word, parse_word
 
@@ -52,33 +50,6 @@ class TestDetection:
 
 
 class TestEnumeration:
-    def test_half_expansion(self):
-        assert str(palindrome_from_tail(5, 0b011)) == "11011"
-        assert str(palindrome_from_tail(4, 0b01)) == "1001"
-        assert str(palindrome_from_tail(1, 1)) == "1"
-        assert str(palindrome_from_tail(0, 0)) == ""
-        with pytest.raises(ValueError):
-            palindrome_from_tail(4, 0b100)
-
-    def test_every_tail_mirrors(self):
-        # the tail OR its reversal at length n, against the mirror spelled out
-        for n in range(17):
-            half = (n + 1) // 2
-            for tail in range(1 << half):
-                text = format(tail, f"0{half}b") if half else ""
-                assert str(palindrome_from_tail(n, tail)) == text[::-1][: n // 2] + text
-
-    def test_tail_round_trip(self):
-        # every least representative is the tail of the palindromes of lengths 2m - 1 and 2m
-        for m, level in iter_lr_levels(12):
-            for n in (2 * m - 1, 2 * m):
-                if n < 0:
-                    continue
-                for tail in level:
-                    w = palindrome_from_tail(n, tail)
-                    assert is_palindrome(w), (n, tail)
-                    assert w.slice(n - m + 1, n) == Word(m, tail), (n, tail)
-
     def test_listed_words_for_small_lengths(self):
         listed = {
             1: ["0", "1"],
@@ -100,6 +71,8 @@ class TestEnumeration:
     def test_record_fields(self):
         rec = enumerate_prefix_normal_palindromes(6)
         assert rec.n == 6 and rec.count == len(rec.words) == 4
+        assert all(type(b) is int for b in rec.packed) and list(rec.packed) == sorted(set(rec.packed))
+        assert rec.words == tuple(Word(6, b) for b in rec.packed)
         assert all(is_palindrome(w) and is_prefix_normal_palindrome(w) for w in rec.words)
         assert str(rec.words[0]) == "000000" and str(rec.words[-1]) == "111111"
 
@@ -119,12 +92,12 @@ class TestEnumeration:
     def test_words_increase_past_brute_range(self):
         # the brute filter pins the order to n = 16; the scan sorts by packed value at every length
         for n in range(17, 25):
-            values = [w.bits for w in enumerate_prefix_normal_palindromes(n).words]
+            values = enumerate_prefix_normal_palindromes(n).packed
             assert all(a < b for a, b in zip(values, values[1:])), n
 
     def test_walk_matches_per_length_enumeration(self):
         walked = list(iter_prefix_normal_palindromes(24))
-        assert walked == [(n, enumerate_prefix_normal_palindromes(n).words) for n in range(25)]
+        assert walked == [(n, enumerate_prefix_normal_palindromes(n).packed) for n in range(25)]
 
     def test_walk_checks_length_before_yielding(self, monkeypatch):
         with pytest.raises(LimitExceededError):
