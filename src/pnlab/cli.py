@@ -294,7 +294,10 @@ def length(text: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `pnlab` parser, built once per process and reused by every `main` call.
+    It binds the `cmd_*` functions and reads `verify.CHECKS` at that first build."""
     parser = argparse.ArgumentParser(
         prog="pnlab",
         description="Prefix normal binary words: profiles, canonical forms, "

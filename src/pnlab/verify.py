@@ -31,7 +31,6 @@ from .normality import (
     is_suffix_normal,
     iter_class_partitions,
     iter_lr_levels,
-    prepend_one_profile,
 )
 from .palindromes import (
     is_prefix_normal_palindrome,
@@ -121,10 +120,13 @@ def check_palchar(n_max: int):
 @suite("leastsuffix", "unique canonical members, maximum reversed onto minimum")
 def check_leastsuffix(n_max: int):
     """Each class: one prefix normal member (its maximum), one suffix normal
-    member (its minimum), and the two are reversals of each other."""
+    member (its minimum), and the two are reversals of each other.  The
+    classes partition all 2^n words, so their members number 2^n."""
     for part in iter_class_partitions(n_max, materialize=True):
+        words = 0
         for cls in part:
             members = cls.members
+            words += len(members)
             pn = [m for m in members if prefix_ones(m) == cls.signature]
             sn = [m for m in members if suffix_ones(m) == cls.signature]
             if len(pn) != 1 or len(sn) != 1:
@@ -133,6 +135,8 @@ def check_leastsuffix(n_max: int):
                 raise Counterexample(pn[0], "prefix normal member is not the maximum")
             if sn[0] != min(members) or sn[0] != cls.lr or sn[0] != cls.npf.reverse():
                 raise Counterexample(sn[0], "least representative is not the reversed maximum")
+        if words != 1 << part.n:
+            raise Counterexample(f"n={part.n}", f"{words} words in the classes, expected {1 << part.n}")
         yield f"PASS n={part.n} classes={len(part.classes)}"
 
 
@@ -148,11 +152,17 @@ def check_corlol(n_max: int):
 
 @suite("pchar", "least representatives satisfy the profile shape inequalities")
 def check_pchar(n_max: int):
-    """Every least representative satisfies the suffix-profile inequalities."""
+    """Every least representative satisfies the suffix-profile inequalities;
+    the words checked number the class count that the count walk gives."""
+    counts = count_least_representatives(n_max)
     for n, level in iter_lr_levels(n_max):
+        checked = 0
         for bits in level:
             if not validate_lr_profile(suffix_ones(Word(n, bits))):
                 raise Counterexample(Word(n, bits), "profile violates the shape inequalities")
+            checked += 1
+        if checked != counts[n]:
+            raise Counterexample(f"n={n}", f"{checked} words checked, expected {counts[n]}")
         yield f"PASS n={n}"
 
 
@@ -202,10 +212,16 @@ def check_falsecollapse(n_max: int):
 def check_smallsum(n_max: int):
     """Extenders dominate their class pointwise and strictly in profile sum.
     Each member's profile is the prefix counts of its prefix normal form,
-    which one lane loop gives for every member of the level."""
-    for n, classes in islice(iter_collapse_classes(n_max), 1, None):
+    which one lane loop gives for every member of the level.  The classes
+    partition the level, so their members number the class count."""
+    walk = iter_collapse_classes(n_max)
+    next(walk)  # n = 0, with nothing to dominate; the first `next` checks the cap
+    counts = count_least_representatives(n_max)
+    for n, classes in walk:
         forms = prefix_normal_forms(n, (bits for cls in classes for bits in cls.packed))
+        words = 0
         for cls in classes:
+            words += cls.size
             # zip tests cls.packed first, so it reads no form past the class
             fe, *others = [tuple(accumulate(letters(form, n), initial=0)) for _, form in zip(cls.packed, forms)]
             if cls.packed[0] == 0:
@@ -214,6 +230,8 @@ def check_smallsum(n_max: int):
             for v, fv in zip(cls.packed[1:], others):
                 if any(map(gt, fv, fe)) or max_ones_sum(fv) >= se:
                     raise Counterexample(Word(n, v), f"not dominated by extender {cls.extender}")
+        if words != counts[n]:
+            raise Counterexample(f"n={n}", f"{words} words in the classes, expected {counts[n]}")
         yield f"PASS n={n}"
 
 
@@ -222,9 +240,14 @@ def check_lexsmall(n_max: int):
     """In each class, exactly the lexicographic minimum extends; the
     all-zeros class has no extending member at all.  1·v is a least
     representative exactly when it is the reversal of its prefix normal
-    form, which one lane loop gives for every member of the level."""
-    for n, classes in islice(iter_collapse_classes(n_max), 1, None):
+    form, which one lane loop gives for every member of the level.  The
+    extending members found number the kept 1-prepends of the count walk."""
+    walk = iter_collapse_classes(n_max)
+    next(walk)  # n = 0: the one class is the all-zeros word; the first `next` checks the cap
+    kept = count_one_prepends(n_max)
+    for n, classes in walk:
         forms = prefix_normal_forms(n + 1, (bits | 1 << n for cls in classes for bits in cls.packed))
+        found = 0
         for cls in classes:
             pairs = zip(cls.packed, forms)  # zip tests cls.packed first, so it reads no form past the class
             extending = {bits for bits, form in pairs if reversed_bits(form, n + 1) == bits | 1 << n}
@@ -233,6 +256,9 @@ def check_lexsmall(n_max: int):
                     raise Counterexample(cls.extender, "all-zeros class should not extend")
             elif extending != {cls.packed[0]}:
                 raise Counterexample(cls.extender, "extending member is not the minimum alone")
+            found += len(extending)
+        if found != kept[n]:
+            raise Counterexample(f"n={n}", f"{found} extending members, expected {kept[n]}")
         yield f"PASS n={n}"
 
 
@@ -326,14 +352,17 @@ def check_ww_family(n_max: int):
 
 @suite("counting-identity", "class counts grow by collapse classes minus one")
 def check_counting_identity(n_max: int):
-    """Classes at n + 1 = classes at n + collapse classes at n - 1."""
-    levels = [level for _, level in iter_lr_levels(n_max + 1)]
-    for n in range(1, n_max + 1):
-        groups = {prepend_one_profile(bits, n) for bits in levels[n]}
-        expected = len(levels[n]) + len(groups) - 1
-        if len(levels[n + 1]) != expected:
-            raise Counterexample(f"n={n}", f"got {len(levels[n + 1])}, expected {expected}")
-        yield f"PASS n={n} ({len(levels[n])} + {len(groups)} - 1 = {expected})"
+    """Classes at n + 1 = classes at n + collapse classes at n - 1.  The class
+    counts come from the count walk; the collapse classes at n are the
+    distinct prefix normal forms of the level's 1-prepends, one level held
+    at a time."""
+    counts = count_least_representatives(n_max + 1)
+    for n, level in islice(iter_lr_levels(n_max), 1, None):
+        groups = len(set(prefix_normal_forms(n + 1, (v | 1 << n for v in level))))
+        expected = counts[n] + groups - 1
+        if counts[n + 1] != expected:
+            raise Counterexample(f"n={n}", f"got {counts[n + 1]}, expected {expected}")
+        yield f"PASS n={n} ({counts[n]} + {groups} - 1 = {expected})"
 
 
 @suite("palupperbound", "doubling bound, published and corrected forms")

@@ -585,6 +585,32 @@ def test_every_option_has_help():
     assert "--engine" not in commands()["collapse-classes"]._option_string_actions
 
 
+class TestParser:
+    def test_built_once_per_process(self, monkeypatch):
+        assert build_parser() is build_parser()
+        run(["sequence", "pn-count", "3"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run(["sequence", "pn-count", "3"]) == (0, "n,value\n1,2\n2,3\n3,5\n", "")
+        assert built == []
+
+    def test_failed_calls_leave_the_next_one_as_if_alone(self):
+        # the usage error trips the mutually exclusive group that the last command uses
+        with spawn(["enumerate", "5", "--classes"]) as proc:
+            alone, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert outcome(["enumerate", "3", "--pnpals", "--classes"])[:2] == (2, "")
+        assert outcome(["sequence", "pn-count", "99"])[:2] == (3, "")
+        assert outcome(["verify", "palcol", "8"])[0] == 1
+        assert outcome(["enumerate", "5", "--classes"]) == (0, alone, "")
+
+
 class TestProcess:
     def test_python_m_runs_the_cli(self):
         with spawn(["sequence", "pn-count", "3"]) as proc:

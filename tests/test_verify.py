@@ -101,7 +101,15 @@ def _all_zeros_class_dropped(original):
 
 
 def _all_ones_dropped(original):
-    return lambda n_max: ((n, packed[:-1] if n == 5 else packed) for n, packed in original(n_max))
+    """The last item at n = 5 dropped: 1^5 from the palindromes and the level, its singleton class from the classes."""
+    return lambda n_max: ((n, items[:-1] if n == 5 else items) for n, items in original(n_max))
+
+
+def _all_zeros_partition_class_dropped(original):
+    return lambda n_max, **kwargs: (
+        replace(part, classes={sig: c for sig, c in part.classes.items() if c.lr.bits}) if part.n == 5 else part
+        for part in original(n_max, **kwargs)
+    )
 
 
 def _band_drops_last_class(original):
@@ -115,10 +123,6 @@ def _classes_claim_every_word(original):
         (n, [CollapseClass(n, c.packed + tuple(range(1 << n))) for c in classes] if n == 5 else classes)
         for n, classes in original(n_max)
     )
-
-
-def _one_group_at_5(original):
-    return lambda bits, n: () if n == 5 else original(bits, n)
 
 
 def _corrected_bound_one_short(original):
@@ -145,10 +149,20 @@ BROKEN_AT_5 = [
         "10000 (least representative is not the reversed maximum)",
     ),
     (
+        "leastsuffix", "iter_class_partitions", _all_zeros_partition_class_dropped,
+        "n=5 (31 words in the classes, expected 32)",
+    ),
+    (
         "corlol", "iter_prefix_normal_palindromes", _palindrome_dropped,
         "00000 (singleton classes differ from palindromes)",
     ),
+    # every prefix normal palindrome but 0^n starts with 1: the comparison must reach those too
+    (
+        "corlol", "iter_prefix_normal_palindromes", _all_ones_dropped,
+        "11111 (singleton classes differ from palindromes)",
+    ),
     ("pchar", "validate_lr_profile", _at(6, lambda f, s: False), "00000 (profile violates the shape inequalities)"),
+    ("pchar", "iter_lr_levels", _all_ones_dropped, "n=5 (13 words checked, expected 14)"),
     # 00000 read as 00011: its profile 0,0,0,1,2 against 1,1,1,1,1 after the 1-prepend changes on 1..5 but 4
     (
         "symminf", "prefix_normal_forms", _forms_at(5, lambda f, vs: [form or 0b11 for form in f(5, vs)]),
@@ -166,6 +180,7 @@ BROKEN_AT_5 = [
     # keys that never match, as the packed words themselves: the one overlap the theorem fixes goes missing
     ("falsecollapse", "prefix_normal_forms", _forms_at(6, lambda f, vs: list(vs)), "00001 (no overlap with 00000)"),
     ("smallsum", "max_ones_sum", _at(6, lambda f, p: 0), "10001 (not dominated by extender 00011)"),
+    ("smallsum", "iter_collapse_classes", _all_zeros_class_dropped, "n=5 (13 words in the classes, expected 14)"),
     (
         "lexsmall", "prefix_normal_forms", _forms_at(6, lambda f, vs: [reversed_bits(v, 6) for v in vs]),
         "00000 (all-zeros class should not extend)",
@@ -174,6 +189,7 @@ BROKEN_AT_5 = [
         "lexsmall", "prefix_normal_forms", _forms_at(6, lambda f, vs: [0 for _ in vs]),
         "00001 (extending member is not the minimum alone)",
     ),
+    ("lexsmall", "iter_collapse_classes", _all_ones_dropped, "n=5 (8 extending members, expected 9)"),
     ("collapstheo", "iter_collapse_classes", _band_drops_last_class, "11111 (engines disagree)"),
     ("collapsindex", "iter_collapse_classes", _classes_claim_every_word, "00001 (size 33 above bound 2)"),
     (
@@ -191,7 +207,10 @@ BROKEN_AT_5 = [
         "10001 (w0w without the single-zero shape)",
     ),
     ("ww-w0w-1ww1", "is_prefix_normal_palindrome", _at(12, lambda f, v: True), "11011 (1ww1 without a 10 prefix)"),
-    ("counting-identity", "prepend_one_profile", _one_group_at_5, "n=5 (got 23, expected 14)"),
+    (
+        "counting-identity", "prefix_normal_forms", _forms_at(6, lambda f, vs: [0 for _ in vs]),
+        "n=5 (got 23, expected 14)",
+    ),
     ("palupperbound", "bounds_by_length", _corrected_bound_one_short, "n=5 (corrected bound 22 below 23)"),
 ]
 
